@@ -56,14 +56,11 @@ from .inference import (
     GradientResult,
     SequentialOrder,
     VariableOrder,
-    WitnessGuidedOrder,
     bruteforce_probability,
     dpnl,
     dpnl_gradient,
     finite_difference_partials,
     output_distribution,
-    sequential_order,
-    witness_order,
 )
 from .logic import (
     DegeneratePrefixError,

@@ -256,8 +256,7 @@ def approx_dpnl(
     while len(frontier) > 0 and not stop.should_stop(low, up, time.perf_counter() - start):
         v, mass, log_mass = frontier.pop()
         stats.oracle_calls += 1
-        verdict = oracle(v, o)
-        answer = verdict.answer
+        answer = oracle(v, o).answer
         if answer == 1:
             stats.leaves_true += 1
             low += mass
@@ -266,7 +265,7 @@ def approx_dpnl(
             up -= mass
         else:
             stats.branch_nodes += 1
-            k = _checked_choice(order, v, verdict)
+            k = _checked_choice(order, v)
             row = probs[k]
             for y, p in enumerate(row):
                 frontier.push(v.assign(k, y), mass * p, log_mass + _log(p))

@@ -8,9 +8,7 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from typing import Optional
 
 from . import approx as approx_mod
@@ -46,10 +44,6 @@ class RunReport:
     estimate: Optional[float] = None
     stats: Optional[QueryStats] = None
     seed: Optional[int] = None
-    config: dict = field(default_factory=dict)
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
 
     def to_json_dict(self) -> dict:
         stats = self.stats
@@ -380,17 +374,9 @@ def cmd_bench(args) -> int:
     rows = []
     for size in sizes:
         for policy_name, stop in _bench_policies(args):
-            runs = []
-            if args.parallel > 1:
-                with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-                    futures = [
-                        pool.submit(_bench_one, args.task, size, stop, args.seed + r)
-                        for r in range(args.repeats)
-                    ]
-                    runs = [f.result() for f in futures]
-            else:
-                for r in range(args.repeats):
-                    runs.append(_bench_one(args.task, size, stop, args.seed + r))
+            runs = [
+                _bench_one(args.task, size, stop, args.seed + r) for r in range(args.repeats)
+            ]
             times = [r[0] for r in runs]
             nodes = [r[1] for r in runs]
             provenance = runs[0][2]
@@ -505,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, dest="n_range", help="e.g. 1:4 or 1,2,4")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eps-add", type=float, default=0.05, dest="eps_add")
     p.add_argument("--time", type=float, default=0.05)

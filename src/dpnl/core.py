@@ -87,9 +87,6 @@ class Valuation:
     def free_indices(self) -> list[int]:
         return [k for k, c in enumerate(self.cells) if c is None]
 
-    def assigned_indices(self) -> list[int]:
-        return [k for k, c in enumerate(self.cells) if c is not None]
-
 
 def fresh_valuation(m: int) -> Valuation:
     """All-unassigned valuation of length ``m``."""
@@ -192,28 +189,14 @@ class DiscreteDistribution:
 
 
 class OracleVerdict:
-    """Three-valued oracle answer: 1, 0 or ``None`` (undecided).
+    """Three-valued oracle answer: 1, 0 or ``None`` (undecided)."""
 
-    Witnesses, when attached to an undecided answer, are total valuations: one
-    completion mapping to the queried output and one mapping elsewhere.
-    """
+    __slots__ = ("answer",)
 
-    __slots__ = ("answer", "witness_true", "witness_false")
-
-    def __init__(
-        self,
-        answer: Optional[int],
-        witness_true: Optional[Valuation] = None,
-        witness_false: Optional[Valuation] = None,
-    ):
+    def __init__(self, answer: Optional[int]):
         if answer not in (0, 1, None):
             raise ValueError("oracle answer must be 0, 1 or None, got %r" % (answer,))
-        for w in (witness_true, witness_false):
-            if w is not None and not w.is_total:
-                raise ValueError("oracle witnesses must be total valuations")
         self.answer = answer
-        self.witness_true = witness_true
-        self.witness_false = witness_false
 
     def __repr__(self) -> str:
         name = {1: "true", 0: "false", None: "unknown"}[self.answer]
@@ -224,8 +207,8 @@ class OracleVerdict:
         return self.answer is None
 
 
-# Witness-free verdicts are shared singletons; oracles on hot paths return
-# these instead of allocating.
+# Verdicts are shared singletons; oracles on hot paths return these instead
+# of allocating.
 VERDICT_TRUE = OracleVerdict(1)
 VERDICT_FALSE = OracleVerdict(0)
 VERDICT_UNKNOWN = OracleVerdict(None)

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 from .core import (
     Instance,
     InvalidInstanceError,
-    OracleVerdict,
     QueryStats,
     SizeLimitError,
     Valuation,
@@ -32,7 +31,7 @@ BRUTEFORCE_TUPLE_LIMIT = 10**7
 class VariableOrder:
     """Policy choosing which unassigned variable a node branches on."""
 
-    def choose(self, v: Valuation, verdict: OracleVerdict) -> int:
+    def choose(self, v: Valuation) -> int:
         raise NotImplementedError
 
 
@@ -42,7 +41,7 @@ class SequentialOrder(VariableOrder):
     def __init__(self, permutation: Optional[Sequence[int]] = None):
         self.permutation = tuple(permutation) if permutation is not None else None
 
-    def choose(self, v: Valuation, verdict: OracleVerdict) -> int:
+    def choose(self, v: Valuation) -> int:
         cells = v.cells
         if self.permutation is None:
             for k, c in enumerate(cells):
@@ -58,45 +57,18 @@ class SequentialOrder(VariableOrder):
         return "SequentialOrder(%r)" % (self.permutation,)
 
 
-class WitnessGuidedOrder(VariableOrder):
-    """Prefer an unassigned index where the last undecided verdict's witness
-    completions are assigned; fall back to a fixed permutation otherwise."""
-
-    def __init__(self, fallback: Optional[Sequence[int]] = None):
-        self.fallback = SequentialOrder(fallback)
-
-    def choose(self, v: Valuation, verdict: OracleVerdict) -> int:
-        witnesses = [
-            w for w in (verdict.witness_true, verdict.witness_false) if w is not None
-        ]
-        if witnesses:
-            order = self.fallback.permutation or range(len(v))
-            for k in order:
-                if v.cells[k] is None and any(w.cells[k] is not None for w in witnesses):
-                    return k
-        return self.fallback.choose(v, verdict)
-
-
 class CustomOrder(VariableOrder):
     """Adapter around a user callback from valuation to variable index."""
 
     def __init__(self, fn: Callable[[Valuation], int]):
         self.fn = fn
 
-    def choose(self, v: Valuation, verdict: OracleVerdict) -> int:
+    def choose(self, v: Valuation) -> int:
         return self.fn(v)
 
 
-def sequential_order(permutation: Optional[Sequence[int]] = None) -> VariableOrder:
-    return SequentialOrder(permutation)
-
-
-def witness_order(fallback: Optional[Sequence[int]] = None) -> VariableOrder:
-    return WitnessGuidedOrder(fallback)
-
-
-def _checked_choice(order: VariableOrder, v: Valuation, verdict: OracleVerdict) -> int:
-    k = order.choose(v, verdict)
+def _checked_choice(order: VariableOrder, v: Valuation) -> int:
+    k = order.choose(v)
     if v.cells[k] is not None:
         raise InvalidInstanceError("order chose assigned index %d" % k)
     return k
@@ -108,17 +80,14 @@ def dpnl(
     oracle: Oracle,
     valuation: Optional[Valuation] = None,
     order: Optional[VariableOrder] = None,
-    skip_zero: bool = False,
 ) -> tuple[float, QueryStats]:
     """Probability that the output equals ``o``, conditioned on ``valuation``.
 
     Each node queries the oracle: a decided verdict contributes 1 or 0, an
     undecided one branches on an unassigned variable k and sums
     ``P(X_k = y) * subtree(y)`` over its domain in ascending value order.
-    ``skip_zero`` prunes zero-probability branches; it changes the traversal
-    but never the value. If the conditioning event has probability zero the
-    conditional is mathematically undefined and the plain recursion value is
-    returned as is.
+    If the conditioning event has probability zero the conditional is
+    mathematically undefined and the plain recursion value is returned as is.
     """
     if valuation is None:
         valuation = fresh_valuation(inst.m)
@@ -134,8 +103,7 @@ def dpnl(
 
     def rec(v: Valuation) -> float:
         stats.oracle_calls += 1
-        verdict = oracle(v, o)
-        answer = verdict.answer
+        answer = oracle(v, o).answer
         if answer == 1:
             stats.leaves_true += 1
             return 1.0
@@ -143,16 +111,10 @@ def dpnl(
             stats.leaves_false += 1
             return 0.0
         stats.branch_nodes += 1
-        k = _checked_choice(order, v, verdict)
-        row = probs[k]
+        k = _checked_choice(order, v)
         acc = 0.0
-        if skip_zero:
-            for y, p in enumerate(row):
-                if p != 0.0:
-                    acc += p * rec(v.assign(k, y))
-        else:
-            for y, p in enumerate(row):
-                acc += p * rec(v.assign(k, y))
+        for y, p in enumerate(probs[k]):
+            acc += p * rec(v.assign(k, y))
         return acc
 
     value = rec(valuation)
@@ -164,7 +126,6 @@ def output_distribution(
     inst: Instance,
     oracle: Oracle,
     order: Optional[VariableOrder] = None,
-    skip_zero: bool = False,
 ) -> tuple[dict[int, float], QueryStats]:
     """Full output distribution: one query from the fresh valuation per output.
 
@@ -173,7 +134,7 @@ def output_distribution(
     total = QueryStats()
     dist: dict[int, float] = {}
     for o in range(inst.output_domain.size):
-        value, stats = dpnl(inst, o, oracle, order=order, skip_zero=skip_zero)
+        value, stats = dpnl(inst, o, oracle, order=order)
         dist[o] = value
         total.merge(stats)
     return dist, total
@@ -256,8 +217,7 @@ def dpnl_gradient(
 
     def rec(v: Valuation, weight: float) -> float:
         stats.oracle_calls += 1
-        verdict = oracle(v, o)
-        answer = verdict.answer
+        answer = oracle(v, o).answer
         if answer == 1:
             stats.leaves_true += 1
             free = v.free_indices()
@@ -279,7 +239,7 @@ def dpnl_gradient(
             stats.leaves_false += 1
             return 0.0
         stats.branch_nodes += 1
-        k = _checked_choice(order, v, verdict)
+        k = _checked_choice(order, v)
         row = probs[k]
         grad_row = partials[k]
         acc = 0.0

@@ -205,43 +205,7 @@ def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> 
     empty bodies. True iff the query atom is derivable; an atom never
     mentioned is simply not derivable.
     """
-    ids: dict[object, int] = {}
-
-    def intern(a):
-        i = ids.get(a)
-        if i is None:
-            i = len(ids)
-            ids[a] = i
-        return i
-
-    interned = [(intern(h), tuple(dict.fromkeys(intern(b) for b in body))) for h, body in rules]
-    q = ids.get(query)
-    if q is None:
-        return False
-    num_atoms = len(ids)
-    watchers: list[list[int]] = [[] for _ in range(num_atoms)]
-    missing = []
-    derived = bytearray(num_atoms)
-    agenda = []
-    for r, (h, body) in enumerate(interned):
-        missing.append(len(body))
-        for a in body:
-            watchers[a].append(r)
-        if not body and not derived[h]:
-            derived[h] = 1
-            agenda.append(h)
-    while agenda:
-        a = agenda.pop()
-        if a == q:
-            return True
-        for r in watchers[a]:
-            missing[r] -= 1
-            if missing[r] == 0:
-                h = interned[r][0]
-                if not derived[h]:
-                    derived[h] = 1
-                    agenda.append(h)
-    return bool(derived[q])
+    return HornProgram(rules, [], query).solver().entails_committed(())
 
 
 def logic_oracle(prog: HornProgram) -> Oracle:
@@ -279,7 +243,7 @@ def logic_oracle(prog: HornProgram) -> Oracle:
             res = 1 - res
         return VERDICT_TRUE if res == 1 else VERDICT_FALSE
 
-    return Oracle(query, claims_complete=True, name="horn")
+    return Oracle(query, name="horn")
 
 
 def applicable_rule_order(prog: HornProgram) -> VariableOrder:

@@ -58,18 +58,12 @@ class SymbolicFunction:
 
 
 class Oracle:
-    """Callable (valuation, output) -> OracleVerdict with completeness metadata."""
+    """Named callable (valuation, output) -> OracleVerdict."""
 
-    __slots__ = ("fn", "claims_complete", "name")
+    __slots__ = ("fn", "name")
 
-    def __init__(
-        self,
-        fn: Callable[[Valuation, int], OracleVerdict],
-        claims_complete: bool = False,
-        name: str = "",
-    ):
+    def __init__(self, fn: Callable[[Valuation, int], OracleVerdict], name: str = ""):
         self.fn = fn
-        self.claims_complete = claims_complete
         self.name = name
 
     def __call__(self, v: Valuation, o: int) -> OracleVerdict:
@@ -91,15 +85,15 @@ def naive_oracle(sfn: SymbolicFunction) -> Oracle:
             return VERDICT_UNKNOWN
         return VERDICT_TRUE if sfn.fn(v.cells) == o else VERDICT_FALSE
 
-    return Oracle(query, claims_complete=False, name="naive(%s)" % sfn.name)
+    return Oracle(query, name="naive(%s)" % sfn.name)
 
 
 def exhaustive_oracle(sfn: SymbolicFunction, completion_guard: int = COMPLETION_GUARD) -> Oracle:
     """Complete oracle that tests every total completion of the valuation.
 
     Answers 1/0 when all completions agree/disagree with the output and
-    otherwise returns undecided with one witness of each kind attached.
-    Refuses valuations with more than ``completion_guard`` completions.
+    undecided as soon as it has seen one of each. Refuses valuations with
+    more than ``completion_guard`` completions.
     """
     domains = sfn.domains
 
@@ -108,21 +102,17 @@ def exhaustive_oracle(sfn: SymbolicFunction, completion_guard: int = COMPLETION_
             raise SizeLimitError(
                 "exhaustive oracle refuses %d completions" % completion_count(v, domains)
             )
-        agree: Optional[Valuation] = None
-        disagree: Optional[Valuation] = None
+        agree = disagree = False
         for w in total_completions(v, domains):
             if sfn.fn(w.cells) == o:
-                if agree is None:
-                    agree = w
-            elif disagree is None:
-                disagree = w
-            if agree is not None and disagree is not None:
-                return OracleVerdict(None, witness_true=agree, witness_false=disagree)
-        if disagree is None:
-            return VERDICT_TRUE
-        return VERDICT_FALSE
+                agree = True
+            else:
+                disagree = True
+            if agree and disagree:
+                return VERDICT_UNKNOWN
+        return VERDICT_FALSE if disagree else VERDICT_TRUE
 
-    return Oracle(query, claims_complete=True, name="exhaustive(%s)" % sfn.name)
+    return Oracle(query, name="exhaustive(%s)" % sfn.name)
 
 
 @dataclass
@@ -153,11 +143,57 @@ def _all_valuations(domains: Sequence[Domain]):
         yield Valuation(cells)
 
 
-def _verify_verdict(
-    verdict: OracleVerdict,
-    v: Valuation,
-    o: int,
+def _probe(
+    oracle: Oracle,
     sfn: SymbolicFunction,
+    budget: int,
+    seed: int,
+    exhaustive: bool,
+    completion_guard: int,
+    p_unknown: float,
+    verify: Callable[[OracleVerdict, Valuation, int, SymbolicFunction], Optional[str]],
+) -> CheckReport:
+    """Query the oracle on each trial and stop at the first verdict that
+    ``verify`` rejects.
+
+    Trials are ``budget`` random (valuation, output) pairs, each cell left
+    unassigned with probability ``p_unknown``, or every pair with
+    ``exhaustive=True``. Valuations with more completions than
+    ``completion_guard`` are skipped in sampling mode and refused in
+    exhaustive mode.
+    """
+    if not exhaustive and budget < 1:
+        raise ValueError("budget must be >= 1")
+    rng = random.Random(seed)
+    outputs = range(sfn.output_domain.size)
+
+    def trials():
+        if exhaustive:
+            for v in _all_valuations(sfn.domains):
+                for o in outputs:
+                    yield v, o
+        else:
+            for _ in range(budget):
+                yield _random_valuation(rng, sfn.domains, p_unknown), rng.randrange(
+                    sfn.output_domain.size
+                )
+
+    checked = 0
+    for v, o in trials():
+        if completion_count(v, sfn.domains) > completion_guard:
+            if exhaustive:
+                raise SizeLimitError("exhaustive check exceeds completion guard")
+            continue
+        verdict = oracle(v, o)
+        checked += 1
+        problem = verify(verdict, v, o, sfn)
+        if problem is not None:
+            return CheckReport(False, checked, (v, o, verdict.answer, problem))
+    return CheckReport(True, checked)
+
+
+def _verify_verdict(
+    verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
 ) -> Optional[str]:
     """Check one verdict against the ground truth; None if fine."""
     answer = verdict.answer
@@ -174,19 +210,25 @@ def _verify_verdict(
         for w in total_completions(v, sfn.domains):
             if sfn.fn(w.cells) == o:
                 return "answered 0 but completion %r maps to the output" % (w,)
-    if verdict.witness_true is not None:
-        w = verdict.witness_true
-        if len(w) != len(v) or sfn.fn(w.cells) != o or not _agrees(w, v):
-            return "bad agreeing witness %r" % (w,)
-    if verdict.witness_false is not None:
-        w = verdict.witness_false
-        if len(w) != len(v) or sfn.fn(w.cells) == o or not _agrees(w, v):
-            return "bad disagreeing witness %r" % (w,)
     return None
 
 
-def _agrees(w: Valuation, v: Valuation) -> bool:
-    return all(b is None or a == b for a, b in zip(w.cells, v.cells))
+def _verify_undecided(
+    verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
+) -> Optional[str]:
+    """Check that an undecided verdict has completions of both kinds; None if fine."""
+    if verdict.answer is not None:
+        return None
+    has_true = False
+    has_false = False
+    for w in total_completions(v, sfn.domains):
+        if sfn.fn(w.cells) == o:
+            has_true = True
+        else:
+            has_false = True
+        if has_true and has_false:
+            return None
+    return "undecided but all completions %s" % ("agree" if has_true else "disagree")
 
 
 def check_validity(
@@ -201,39 +243,11 @@ def check_validity(
 
     Samples ``budget`` random (valuation, output) pairs (or enumerates all of
     them with ``exhaustive=True``) and, for every decided answer, verifies the
-    decision against every total completion. Witnesses are checked whenever
-    present. Valuations with more completions than ``completion_guard`` are
-    skipped in sampling mode and refused in exhaustive mode.
+    decision against every total completion. Valuations with more completions
+    than ``completion_guard`` are skipped in sampling mode and refused in
+    exhaustive mode.
     """
-    if not exhaustive and budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(seed)
-    outputs = range(sfn.output_domain.size)
-    checked = 0
-
-    def trials():
-        if exhaustive:
-            for v in _all_valuations(sfn.domains):
-                for o in outputs:
-                    yield v, o
-        else:
-            for _ in range(budget):
-                yield _random_valuation(rng, sfn.domains, 0.4), rng.randrange(
-                    sfn.output_domain.size
-                )
-
-    for v, o in trials():
-        n_completions = completion_count(v, sfn.domains)
-        if n_completions > completion_guard:
-            if exhaustive:
-                raise SizeLimitError("exhaustive check exceeds completion guard")
-            continue
-        verdict = oracle(v, o)
-        problem = _verify_verdict(verdict, v, o, sfn)
-        checked += 1
-        if problem is not None:
-            return CheckReport(False, checked, (v, o, verdict.answer, problem))
-    return CheckReport(True, checked)
+    return _probe(oracle, sfn, budget, seed, exhaustive, completion_guard, 0.4, _verify_verdict)
 
 
 def check_completeness(
@@ -249,46 +263,4 @@ def check_completeness(
     For every undecided answer, verifies that the completions genuinely mix:
     at least one maps to the output and at least one maps elsewhere.
     """
-    if not exhaustive and budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(seed)
-    checked = 0
-
-    def trials():
-        if exhaustive:
-            for v in _all_valuations(sfn.domains):
-                for o in range(sfn.output_domain.size):
-                    yield v, o
-        else:
-            for _ in range(budget):
-                yield _random_valuation(rng, sfn.domains, 0.6), rng.randrange(
-                    sfn.output_domain.size
-                )
-
-    for v, o in trials():
-        n_completions = completion_count(v, sfn.domains)
-        if n_completions > completion_guard:
-            if exhaustive:
-                raise SizeLimitError("exhaustive check exceeds completion guard")
-            continue
-        verdict = oracle(v, o)
-        checked += 1
-        if verdict.answer is not None:
-            continue
-        has_true = False
-        has_false = False
-        for w in total_completions(v, sfn.domains):
-            if sfn.fn(w.cells) == o:
-                has_true = True
-            else:
-                has_false = True
-            if has_true and has_false:
-                break
-        if not (has_true and has_false):
-            kind = "agree" if has_true else "disagree"
-            return CheckReport(
-                False,
-                checked,
-                (v, o, None, "undecided but all completions %s" % kind),
-            )
-    return CheckReport(True, checked)
+    return _probe(oracle, sfn, budget, seed, exhaustive, completion_guard, 0.6, _verify_undecided)

@@ -74,7 +74,7 @@ def addition_oracle(v: Valuation, r: int, n: int) -> OracleVerdict:
     can leave the last position. Otherwise a matching completion exists; if
     any digit is free, changing it changes the sum, so a mismatching
     completion exists too and the answer is undecided. Total valuations get
-    1. Decides regardless of the variable order and returns no witnesses.
+    1. Decides regardless of the variable order.
     """
     if not 0 <= r < 2 * 10**n:
         raise InvalidInstanceError("output %d out of range for %d digits" % (r, n))
@@ -182,7 +182,7 @@ def sum_oracle(n: int) -> Oracle:
     def query(v: Valuation, o: int) -> OracleVerdict:
         return addition_oracle(v, o, n)
 
-    return Oracle(query, claims_complete=True, name="addition%d" % n)
+    return Oracle(query, name="addition%d" % n)
 
 
 def build_sum_instance(spec: SumInstanceSpec) -> tuple[Instance, SymbolicFunction, Oracle]:

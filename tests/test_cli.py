@@ -240,7 +240,7 @@ def test_bench_logic_reach_includes_provenance(tmp_path):
     assert main(
         [
             "bench", "--task", "logic-reach", "--n-range", "3:4", "--repeats", "1",
-            "--out", str(out_path), "--parallel", "2",
+            "--out", str(out_path),
         ]
     ) == 0
     with open(out_path) as fh:

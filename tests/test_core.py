@@ -136,11 +136,8 @@ def test_instance_validation():
     assert inst.prob(0, 1) == 0.75
 
 
-def test_verdict_witnesses_must_be_total():
-    with pytest.raises(ValueError):
-        OracleVerdict(None, witness_true=Valuation([None, 1]))
-    v = OracleVerdict(None, witness_true=Valuation([0, 1]))
-    assert v.is_unknown
+def test_verdict_answer_must_be_ternary():
+    assert OracleVerdict(None).is_unknown
     with pytest.raises(ValueError):
         OracleVerdict(2)
 

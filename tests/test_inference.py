@@ -6,13 +6,16 @@ from dpnl import (
     CustomOrder,
     DiscreteDistribution,
     Domain,
+    Exhaustive,
     Instance,
     InvalidInstanceError,
+    MaxProbability,
     SequentialOrder,
     SizeLimitError,
     SumInstanceSpec,
     SymbolicFunction,
     Valuation,
+    approx_dpnl,
     bruteforce_probability,
     build_sum_instance,
     dpnl,
@@ -23,7 +26,7 @@ from dpnl import (
     naive_oracle,
     output_distribution,
     right_to_left_order,
-    witness_order,
+    sum_distribution_reference,
 )
 from conftest import random_digit_rows, random_table_instance
 
@@ -111,17 +114,23 @@ def test_dpnl_matches_bruteforce_across_oracles_and_orders():
             assert max(values) - min(values) <= 1e-12
 
 
-def test_skip_zero_flag_preserves_value():
+def test_zero_probability_entry_keeps_value_and_tree():
     rng = random.Random(7)
     rows = random_digit_rows(rng, 1)
     rows[0][3] = 0.0
     rows[0] = [p / sum(rows[0]) for p in rows[0]]
-    inst, sfn, oracle = build_sum_instance(SumInstanceSpec(1, rows))
+    spec = SumInstanceSpec(1, rows)
+    inst, sfn, oracle = build_sum_instance(spec)
+    reference = sum_distribution_reference(spec)
     for o in (0, 7, 12):
-        plain, plain_stats = dpnl(inst, o, oracle)
-        skipped, skip_stats = dpnl(inst, o, oracle, skip_zero=True)
-        assert abs(plain - skipped) <= 1e-12
-        assert skip_stats.oracle_calls <= plain_stats.oracle_calls
+        value, stats = dpnl(inst, o, oracle)
+        grad, grad_stats = dpnl_gradient(inst, o, oracle)
+        assert abs(value - reference[o]) <= 1e-12
+        # zero-probability branches are walked too, so both engines visit
+        # the same tree and compute the same value
+        assert grad.value == value
+        assert grad_stats.oracle_calls == stats.oracle_calls
+        assert grad_stats.branch_nodes == stats.branch_nodes
 
 
 def test_order_callback_returning_assigned_index_raises(uniform1):
@@ -139,35 +148,6 @@ def test_exhaustive_prunes_at_least_as_well_as_naive():
         _, naive_stats = dpnl(inst, o, naive_oracle(sfn))
         _, exhaustive_stats = dpnl(inst, o, exhaustive_oracle(sfn))
         assert exhaustive_stats.branch_nodes <= naive_stats.branch_nodes
-
-
-def test_witness_order_uses_fallback_without_witnesses(uniform1):
-    inst, sfn, oracle = uniform1  # addition oracle returns no witnesses
-    value, _ = dpnl(inst, 9, oracle, order=witness_order([1, 0]))
-    assert abs(value - 0.1) <= 1e-12
-
-
-def test_witness_order_with_witnesses():
-    rng = random.Random(3)
-    inst, sfn = random_table_instance(rng, m_max=4, size_max=3)
-    oracle = exhaustive_oracle(sfn)
-    for o in range(inst.output_domain.size):
-        expected = bruteforce_probability(inst, sfn, o)
-        value, _ = dpnl(inst, o, oracle, order=witness_order())
-        assert abs(value - expected) <= 1e-10
-
-
-def test_witness_order_prefers_witness_assigned_index():
-    from dpnl import OracleVerdict, WitnessGuidedOrder
-
-    order = WitnessGuidedOrder()
-    v = Valuation([None, 3, None])
-    verdict = OracleVerdict(
-        None, witness_true=Valuation([1, 3, 0]), witness_false=Valuation([0, 3, 2])
-    )
-    assert order.choose(v, verdict) == 0  # first unassigned with witness value
-    plain = OracleVerdict(None)
-    assert order.choose(v, plain) == 0  # fallback: first unassigned
 
 
 def test_gradient_forced_product():
@@ -230,3 +210,38 @@ def test_valuation_length_checked(uniform1):
     inst, _, oracle = uniform1
     with pytest.raises(InvalidInstanceError):
         dpnl(inst, 4, oracle, valuation=fresh_valuation(3))
+
+
+def test_engines_call_oracle_fn_and_order_choose_once_per_count():
+    # replacing the instance attributes oracle.fn and order.choose is seen by
+    # every engine: one fn call per oracle call, one choice per branch node
+    rows = random_digit_rows(random.Random(5), 1)
+    inst, _, oracle = build_sum_instance(SumInstanceSpec(1, rows))
+    calls = {"fn": 0, "choose": 0}
+    fn = oracle.fn
+
+    def counting_fn(v, o):
+        calls["fn"] += 1
+        return fn(v, o)
+
+    oracle.fn = counting_fn
+    runs = {
+        "dpnl": lambda order: dpnl(inst, 7, oracle, order=order)[1],
+        "dpnl_gradient": lambda order: dpnl_gradient(inst, 7, oracle, order=order)[1],
+        "approx_dpnl": lambda order: approx_dpnl(
+            inst, 7, oracle, Exhaustive(), MaxProbability(), order=order
+        )[1],
+    }
+    for name, run in runs.items():
+        order = right_to_left_order(1)
+        choose = order.choose
+
+        def counting_choose(v):
+            calls["choose"] += 1
+            return choose(v)
+
+        order.choose = counting_choose
+        calls.update(fn=0, choose=0)
+        stats = run(order)
+        assert stats.branch_nodes > 0, name
+        assert calls == {"fn": stats.oracle_calls, "choose": stats.branch_nodes}, name

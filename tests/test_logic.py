@@ -191,7 +191,7 @@ def test_applicable_rule_order_prefers_applicable():
     prog = reachability_program(3, table)
     order = applicable_rule_order(prog)
     v = fresh_valuation(prog.m)
-    k = order.choose(v, None)
+    k = order.choose(v)
     head, body = prog.prob_rules[k]
     derived = prog.solver().committed_fixpoint(v.cells)
     assert all(derived[a] for a in body)
@@ -209,7 +209,7 @@ def test_applicable_rule_order_picks_frontier_edges():
         i, j = name[len("edge("):-1].split(",")
         ends.append((prog.atom_ids["reach(%s)" % i], prog.atom_ids["reach(%s)" % j]))
 
-    first = order.choose(fresh_valuation(prog.m), None)
+    first = order.choose(fresh_valuation(prog.m))
     assert prog.atom_names[prog.prob_rules[first][0]].startswith("edge(e1,")
 
     # every undecided node of the search branches on an edge from a reached
@@ -220,7 +220,7 @@ def test_applicable_rule_order_picks_frontier_edges():
         v = stack.pop()
         if oracle(v, 1).answer is not None:
             continue
-        k = order.choose(v, None)
+        k = order.choose(v)
         derived = solver.committed_fixpoint(v.cells)
         src, dst = ends[k]
         assert derived[src] and not derived[dst], (v, prog.atom_names[prog.prob_rules[k][0]])

@@ -34,10 +34,7 @@ def test_exhaustive_oracle_decides_partial(add1):
     oracle = exhaustive_oracle(add1)
     # min completion sum is 9, so output 3 is impossible
     assert oracle(Valuation([9, None]), 3).answer == 0
-    verdict = oracle(fresh_valuation(2), 0)
-    assert verdict.answer is None
-    assert verdict.witness_true.cells == (0, 0)  # the only pair summing to 0
-    assert add1.fn(verdict.witness_false.cells) != 0
+    assert oracle(fresh_valuation(2), 0).answer is None
 
 
 def test_exhaustive_oracle_all_agree(add1):
@@ -73,19 +70,6 @@ def test_exhaustive_verdicts_monotone():
         # decided verdicts persist on every refinement
         for w in total_completions(v, sfn.domains):
             assert oracle(w, o).answer == answer
-
-
-def test_exhaustive_witnesses_satisfy_function():
-    rng = random.Random(2)
-    for _ in range(30):
-        inst, sfn = random_table_instance(rng, m_max=4, size_max=3)
-        oracle = exhaustive_oracle(sfn)
-        v = Valuation([None for _ in sfn.domains])
-        o = rng.randrange(sfn.output_domain.size)
-        verdict = oracle(v, o)
-        if verdict.answer is None:
-            assert sfn.fn(verdict.witness_true.cells) == o
-            assert sfn.fn(verdict.witness_false.cells) != o
 
 
 def test_exhaustive_oracle_guard(add1):

@@ -91,7 +91,6 @@ def test_addition_oracle_validity_sampled():
 def test_addition_oracle_complete():
     sfn1 = sum_function(1)
     _, _, oracle1 = build_sum_instance(SumInstanceSpec.uniform(1))
-    assert oracle1.claims_complete
     report = check_completeness(oracle1, sfn1, exhaustive=True)
     assert report.passed, report.counterexample
     assert report.checked == 11 * 11 * 20
