@@ -55,6 +55,7 @@ class RunReport:
             "estimate": self.estimate,
             "oracle_calls": stats.oracle_calls if stats else None,
             "branch_nodes": stats.branch_nodes if stats else None,
+            "cache_hits": stats.cache_hits if stats else None,
             "wall_time_s": stats.wall_time if stats else None,
             "seed": self.seed,
         }
@@ -71,8 +72,13 @@ def _emit(report: RunReport, args) -> None:
             fh.write("\n")
     if report.stats is not None:
         print(
-            "stats: oracle_calls=%d branch_nodes=%d wall_time_s=%.6f"
-            % (report.stats.oracle_calls, report.stats.branch_nodes, report.stats.wall_time)
+            "stats: oracle_calls=%d branch_nodes=%d cache_hits=%d wall_time_s=%.6f"
+            % (
+                report.stats.oracle_calls,
+                report.stats.branch_nodes,
+                report.stats.cache_hits,
+                report.stats.wall_time,
+            )
         )
 
 

@@ -251,17 +251,23 @@ class Instance:
 
 @dataclass
 class QueryStats:
-    """Work counters for one query; wall time in seconds."""
+    """Work counters for one query; wall time in seconds.
+
+    ``cache_hits`` counts nodes answered from the residual-key memo, without
+    an oracle call.
+    """
 
     oracle_calls: int = 0
     branch_nodes: int = 0
     leaves_true: int = 0
     leaves_false: int = 0
     wall_time: float = 0.0
+    cache_hits: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         self.oracle_calls += other.oracle_calls
         self.branch_nodes += other.branch_nodes
+        self.cache_hits += other.cache_hits
         self.leaves_true += other.leaves_true
         self.leaves_false += other.leaves_false
         self.wall_time += other.wall_time

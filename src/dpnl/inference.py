@@ -74,6 +74,84 @@ def _checked_choice(order: VariableOrder, v: Valuation) -> int:
     return k
 
 
+def _search(
+    inst: Instance,
+    o: int,
+    oracle: Oracle,
+    valuation: Optional[Valuation],
+    order: Optional[VariableOrder],
+    record: bool,
+) -> tuple[float, QueryStats, list]:
+    """The exact search behind ``dpnl`` and ``dpnl_gradient`` (see ``dpnl``).
+
+    If the oracle has a ``residual_key``, a node whose key was seen before
+    reuses that node's result with no oracle call and no branch. With
+    ``record`` set, every evaluated node is appended to the returned list in
+    post-order as ``(value, k, below)``: for a branch on k, ``below`` holds
+    the children's node indices in value order; for a leaf k is None and
+    ``below`` holds the free indices of a true leaf, nothing for a false
+    one. The root comes last. Without ``record``, nothing per node outlives
+    the recursion unless the oracle has a key.
+    """
+    if valuation is None:
+        valuation = fresh_valuation(inst.m)
+    if len(valuation) != inst.m:
+        raise InvalidInstanceError(
+            "valuation length %d for instance of order %d" % (len(valuation), inst.m)
+        )
+    if order is None:
+        order = SequentialOrder()
+    stats = QueryStats()
+    probs = [d.probs for d in inst.dists]
+    residual_key = oracle.residual_key
+    memo: dict = {}
+    nodes: list = []
+    start = time.perf_counter()
+
+    # returns (value, index of the node's record or -1)
+    def rec(v: Valuation) -> tuple[float, int]:
+        if residual_key is not None:
+            key = residual_key(v, o)
+            hit = memo.get(key)
+            if hit is not None:
+                stats.cache_hits += 1
+                return hit
+        stats.oracle_calls += 1
+        answer = oracle(v, o).answer
+        if answer is None:
+            stats.branch_nodes += 1
+            k = _checked_choice(order, v)
+            below = []
+            value = 0.0
+            for y, p in enumerate(probs[k]):
+                child, index = rec(v.assign(k, y))
+                value += p * child
+                below.append(index)
+        else:
+            k = None
+            below = ()
+            if answer == 1:
+                stats.leaves_true += 1
+                value = 1.0
+                if record:
+                    below = v.free_indices()
+            else:
+                stats.leaves_false += 1
+                value = 0.0
+        if record:
+            nodes.append((value, k, below))
+            result = (value, len(nodes) - 1)
+        else:
+            result = (value, -1)
+        if residual_key is not None:
+            memo[key] = result
+        return result
+
+    value = rec(valuation)[0]
+    stats.wall_time = time.perf_counter() - start
+    return value, stats, nodes
+
+
 def dpnl(
     inst: Instance,
     o: int,
@@ -86,39 +164,11 @@ def dpnl(
     Each node queries the oracle: a decided verdict contributes 1 or 0, an
     undecided one branches on an unassigned variable k and sums
     ``P(X_k = y) * subtree(y)`` over its domain in ascending value order.
-    If the conditioning event has probability zero the conditional is
+    Sub-problems with equal residual keys are solved once. If the
+    conditioning event has probability zero the conditional is
     mathematically undefined and the plain recursion value is returned as is.
     """
-    if valuation is None:
-        valuation = fresh_valuation(inst.m)
-    if len(valuation) != inst.m:
-        raise InvalidInstanceError(
-            "valuation length %d for instance of order %d" % (len(valuation), inst.m)
-        )
-    if order is None:
-        order = SequentialOrder()
-    stats = QueryStats()
-    probs = [d.probs for d in inst.dists]
-    start = time.perf_counter()
-
-    def rec(v: Valuation) -> float:
-        stats.oracle_calls += 1
-        answer = oracle(v, o).answer
-        if answer == 1:
-            stats.leaves_true += 1
-            return 1.0
-        if answer == 0:
-            stats.leaves_false += 1
-            return 0.0
-        stats.branch_nodes += 1
-        k = _checked_choice(order, v)
-        acc = 0.0
-        for y, p in enumerate(probs[k]):
-            acc += p * rec(v.assign(k, y))
-        return acc
-
-    value = rec(valuation)
-    stats.wall_time = time.perf_counter() - start
+    value, stats, _ = _search(inst, o, oracle, valuation, order, record=False)
     return value, stats
 
 
@@ -191,66 +241,49 @@ def dpnl_gradient(
     valuation: Optional[Valuation] = None,
     order: Optional[VariableOrder] = None,
 ) -> tuple[GradientResult, QueryStats]:
-    """Output probability and exact gradient in one traversal.
+    """Output probability and exact gradient: one search, one reverse pass.
 
-    Forward accumulation along the recursion: a branch on (k, y) contributes
-    the path weight times the subtree value to ``partials[k][y]``. A branch
-    cut by a positive verdict still depends on the unbranched variables'
-    entries, because the subtree polynomial is the product of their table
-    sums; those partials are completed at the leaf via prefix/suffix products
-    of the sums. The value is computed with the identical operations and
-    traversal as the plain query, so it matches bit for bit.
+    The search of ``dpnl`` records its DAG, so the value matches ``dpnl``
+    bit for bit. The reverse (adjoint) pass visits the nodes in reverse
+    post-order, parents before children: a node's adjoint is the derivative
+    of the value with respect to its own value, and a branch on k gives
+    ``partials[k][y]`` its adjoint times child y's value and passes its
+    adjoint times ``P(X_k = y)`` down to that child. A true leaf still
+    depends on its free variables' entries, because its polynomial is the
+    product of their table sums; those partials come from prefix/suffix
+    products of the sums.
     """
-    if valuation is None:
-        valuation = fresh_valuation(inst.m)
-    if len(valuation) != inst.m:
-        raise InvalidInstanceError(
-            "valuation length %d for instance of order %d" % (len(valuation), inst.m)
-        )
-    if order is None:
-        order = SequentialOrder()
-    stats = QueryStats()
+    value, stats, nodes = _search(inst, o, oracle, valuation, order, record=True)
+    start = time.perf_counter()
     probs = [d.probs for d in inst.dists]
     masses = [sum(row) for row in probs]
     partials = [[0.0] * len(row) for row in probs]
-    start = time.perf_counter()
-
-    def rec(v: Valuation, weight: float) -> float:
-        stats.oracle_calls += 1
-        answer = oracle(v, o).answer
-        if answer == 1:
-            stats.leaves_true += 1
-            free = v.free_indices()
-            if free:
-                # prefix[i] = prod of masses[free[:i]], suffix[i] = prod of masses[free[i:]]
-                prefix = [1.0] * (len(free) + 1)
-                for i, k in enumerate(free):
-                    prefix[i + 1] = prefix[i] * masses[k]
-                suffix = [1.0] * (len(free) + 1)
-                for i in range(len(free) - 1, -1, -1):
-                    suffix[i] = suffix[i + 1] * masses[free[i]]
-                for i, k in enumerate(free):
-                    coeff = weight * prefix[i] * suffix[i + 1]
-                    row = partials[k]
-                    for y in range(len(row)):
-                        row[y] += coeff
-            return 1.0
-        if answer == 0:
-            stats.leaves_false += 1
-            return 0.0
-        stats.branch_nodes += 1
-        k = _checked_choice(order, v)
-        row = probs[k]
-        grad_row = partials[k]
-        acc = 0.0
-        for y, p in enumerate(row):
-            child = rec(v.assign(k, y), weight * p)
-            grad_row[y] += weight * child
-            acc += p * child
-        return acc
-
-    value = rec(valuation, 1.0)
-    stats.wall_time = time.perf_counter() - start
+    adjoint = [0.0] * len(nodes)
+    adjoint[-1] = 1.0
+    for index in range(len(nodes) - 1, -1, -1):
+        weight = adjoint[index]
+        _, k, below = nodes[index]
+        if k is not None:
+            row = probs[k]
+            grad_row = partials[k]
+            for y, child in enumerate(below):
+                grad_row[y] += weight * nodes[child][0]
+                adjoint[child] += weight * row[y]
+        elif below:
+            free = below
+            # prefix[i] = prod of masses[free[:i]], suffix[i] = prod of masses[free[i:]]
+            prefix = [1.0] * (len(free) + 1)
+            for i, k in enumerate(free):
+                prefix[i + 1] = prefix[i] * masses[k]
+            suffix = [1.0] * (len(free) + 1)
+            for i in range(len(free) - 1, -1, -1):
+                suffix[i] = suffix[i + 1] * masses[free[i]]
+            for i, k in enumerate(free):
+                coeff = weight * prefix[i] * suffix[i + 1]
+                grad_row = partials[k]
+                for y in range(len(grad_row)):
+                    grad_row[y] += coeff
+    stats.wall_time += time.perf_counter() - start
     return GradientResult(value, partials), stats
 
 

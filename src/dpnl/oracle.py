@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .core import (
     Domain,
@@ -58,13 +58,27 @@ class SymbolicFunction:
 
 
 class Oracle:
-    """Named callable (valuation, output) -> OracleVerdict."""
+    """Named callable (valuation, output) -> OracleVerdict.
 
-    __slots__ = ("fn", "name")
+    ``residual_key``, if given, maps (valuation, output) to a hashable key
+    under which the exact search memoises sub-problems. Equal keys must
+    imply the same free variables and the same output on each of their
+    completions, so the same conditional value and the same partials for
+    any tables; valuations none of whose completions match may share a key
+    whatever their free variables.
+    """
 
-    def __init__(self, fn: Callable[[Valuation, int], OracleVerdict], name: str = ""):
+    __slots__ = ("fn", "name", "residual_key")
+
+    def __init__(
+        self,
+        fn: Callable[[Valuation, int], OracleVerdict],
+        name: str = "",
+        residual_key: Optional[Callable[[Valuation, int], Hashable]] = None,
+    ):
         self.fn = fn
         self.name = name
+        self.residual_key = residual_key
 
     def __call__(self, v: Valuation, o: int) -> OracleVerdict:
         return self.fn(v, o)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,27 @@ def _result_digits(r: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _scan_assigned(cells: tuple, digits: tuple[int, ...], n: int) -> tuple[int, int]:
+    """Plain carry addition right to left while both digits are assigned.
+
+    Returns the first position with a free digit (-1 if none) and the carry
+    into it, or carry -1 once a result digit mismatches.
+    """
+    carry = 0
+    i = n - 1
+    while i >= 0:
+        a = cells[i]
+        b = cells[n + i]
+        if a is None or b is None:
+            break
+        d = carry + a + b
+        if d % 10 != digits[i + 1]:
+            return i, -1
+        carry = d // 10
+        i -= 1
+    return i, carry
+
+
 def addition_oracle(v: Valuation, r: int, n: int) -> OracleVerdict:
     """Valid and complete oracle for the digit-sum function, O(n) per call.
 
@@ -80,20 +101,10 @@ def addition_oracle(v: Valuation, r: int, n: int) -> OracleVerdict:
         raise InvalidInstanceError("output %d out of range for %d digits" % (r, n))
     digits = _result_digits(r, n)
     cells = v.cells
-    # plain carry addition while both digits are assigned
-    carry = 0
-    i = n - 1
-    while i >= 0:
-        a = cells[i]
-        b = cells[n + i]
-        if a is None or b is None:
-            break
-        d = carry + a + b
-        if d % 10 != digits[i + 1]:
-            return VERDICT_FALSE
-        carry = d // 10
-        i -= 1
-    else:
+    i, carry = _scan_assigned(cells, digits, n)
+    if carry < 0:
+        return VERDICT_FALSE
+    if i < 0:
         return VERDICT_TRUE if carry == digits[0] else VERDICT_FALSE
     # some digit is free from here on: bit c of carries set iff carry c into
     # position i is reachable
@@ -125,6 +136,31 @@ def addition_oracle(v: Valuation, r: int, n: int) -> OracleVerdict:
         carries = reached
         i -= 1
     return VERDICT_UNKNOWN if carries >> digits[0] & 1 else VERDICT_FALSE
+
+
+# residual keys of valuations with no matching completion and of total
+# matching valuations
+_KEY_FALSE = "false"
+_KEY_TRUE = "true"
+
+
+def _residual_key(v: Valuation, r: int, n: int) -> Hashable:
+    """Residual key of the addition oracle, valid under any order.
+
+    Every digit less significant than the first position i with a free
+    digit, scanning from the units, is assigned. Whether a completion sums
+    to ``r`` then depends only on the carry into position i and on
+    positions 0..i of both summands, which the key holds (free digits as
+    None).
+    """
+    digits = _result_digits(r, n)
+    cells = v.cells
+    i, carry = _scan_assigned(cells, digits, n)
+    if carry < 0:
+        return _KEY_FALSE
+    if i < 0:
+        return _KEY_TRUE if carry == digits[0] else _KEY_FALSE
+    return (i, carry, cells[: i + 1], cells[n : n + i + 1])
 
 
 def right_to_left_order(n: int) -> VariableOrder:
@@ -182,7 +218,10 @@ def sum_oracle(n: int) -> Oracle:
     def query(v: Valuation, o: int) -> OracleVerdict:
         return addition_oracle(v, o, n)
 
-    return Oracle(query, name="addition%d" % n)
+    def key(v: Valuation, o: int) -> Hashable:
+        return _residual_key(v, o, n)
+
+    return Oracle(query, name="addition%d" % n, residual_key=key)
 
 
 def build_sum_instance(spec: SumInstanceSpec) -> tuple[Instance, SymbolicFunction, Oracle]:

@@ -16,6 +16,7 @@ from dpnl import (
     Instance,
     SymbolicFunction,
     WeightMap,
+    total_completions,
 )
 
 
@@ -33,6 +34,18 @@ def random_table_instance(rng: random.Random, m_max=6, size_max=5, out_max=4):
     dists = [random_distribution(rng, s) for s in sizes]
     inst = Instance(domains, dists, Domain(out_size))
     return inst, sfn
+
+
+def table_residual_key(sfn: SymbolicFunction):
+    """Residual key for any symbolic function: the free indices and the
+    outputs of every completion, in enumeration order. Equal keys mean the
+    same function of the same free variables, as ``Oracle`` requires."""
+
+    def key(v, o):
+        outputs = tuple(sfn.fn(w.cells) for w in total_completions(v, sfn.domains))
+        return tuple(v.free_indices()), outputs
+
+    return key
 
 
 def random_distribution(rng: random.Random, size: int) -> DiscreteDistribution:

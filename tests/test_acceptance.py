@@ -115,10 +115,12 @@ def test_c03_sum_task_correctness():
     worst = 0.0
     checked = 0
     # 20 random distribution sets across N=1..4; all outputs are checked up
-    # to N=2, a fixed-plus-random sample beyond (a full per-output sweep at
-    # N=4 is ~2e9 oracle calls, hours of work; see the decisions notes)
+    # to N=2 and for the first two N=3 sets, a fixed-plus-random sample
+    # otherwise. With the residual-key cache an N=3 query takes a median of
+    # 57 oracle calls (7,211 without it), so the 2,000 outputs of one N=3
+    # set take about 1.5 s on a two-core x86 VM (about 35 s without it).
     for n, repeats in ((1, 8), (2, 6), (3, 4), (4, 2)):
-        for _ in range(repeats):
+        for rep in range(repeats):
             spec = SumInstanceSpec(n, random_digit_rows(rng, n))
             inst_n, _, oracle_n = build_sum_instance(spec)
             order_n = right_to_left_order(n)
@@ -131,6 +133,10 @@ def test_c03_sum_task_correctness():
                     {0, 1, size // 2, size - 2, size - 1}
                     | {rng.randrange(size) for _ in range(5)}
                 )
+                # the sample is drawn anyway, so later sets and samples stay
+                # the same
+                if n == 3 and rep < 2:
+                    outputs = range(size)
             for o in outputs:
                 value, _ = dpnl(inst_n, o, oracle_n, order=order_n)
                 worst = max(worst, abs(value - reference[o]))

@@ -13,6 +13,7 @@ REPORT_KEYS = [
     "estimate",
     "oracle_calls",
     "branch_nodes",
+    "cache_hits",
     "wall_time_s",
     "seed",
 ]
@@ -77,6 +78,17 @@ def test_pwmc_parse_error_exit_code(tmp_path, capsys):
 def test_sum_single_output(capsys):
     assert main(["sum", "--n", "1", "--uniform", "--sum", "4"]) == 0
     assert "P(sum = 4) = 0.05" in capsys.readouterr().out
+
+
+def test_sum_report_counts_cache_hits(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    assert main(["sum", "--n", "3", "--uniform", "--sum", "999", "--json", str(report_path)]) == 0
+    data = json.loads(report_path.read_text())
+    assert list(data.keys()) == REPORT_KEYS
+    assert abs(data["result"] - 1e-3) <= 1e-12
+    assert data["cache_hits"] > 0
+    assert data["oracle_calls"] < 100
+    assert "cache_hits=%d " % data["cache_hits"] in capsys.readouterr().out
 
 
 def test_sum_full_distribution(capsys, tmp_path):

@@ -145,7 +145,9 @@ def test_verdict_answer_must_be_ternary():
 def test_query_stats_merge():
     a = QueryStats(oracle_calls=3, branch_nodes=1, leaves_true=1, leaves_false=1, wall_time=0.5)
     b = QueryStats(oracle_calls=2, branch_nodes=1, leaves_true=0, leaves_false=1, wall_time=0.25)
+    b.cache_hits = 4
     a.merge(b)
     assert a.oracle_calls == 5
+    assert a.cache_hits == 4
     assert a.leaves_true + a.leaves_false <= a.oracle_calls
     assert a.wall_time == 0.75

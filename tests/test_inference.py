@@ -10,6 +10,7 @@ from dpnl import (
     Instance,
     InvalidInstanceError,
     MaxProbability,
+    Oracle,
     SequentialOrder,
     SizeLimitError,
     SumInstanceSpec,
@@ -28,7 +29,7 @@ from dpnl import (
     right_to_left_order,
     sum_distribution_reference,
 )
-from conftest import random_digit_rows, random_table_instance
+from conftest import random_digit_rows, random_table_instance, table_residual_key
 
 
 @pytest.fixture
@@ -245,3 +246,39 @@ def test_engines_call_oracle_fn_and_order_choose_once_per_count():
         stats = run(order)
         assert stats.branch_nodes > 0, name
         assert calls == {"fn": stats.oracle_calls, "choose": stats.branch_nodes}, name
+
+
+def test_residual_key_cache_matches_keyless_and_bruteforce():
+    # the same oracle function with and without a residual key: equal values
+    # and gradients, never more oracle calls, and some sub-problems reused
+    rng = random.Random(43)
+    hits = 0
+    for _ in range(25):
+        inst, sfn = random_table_instance(rng, m_max=5, size_max=4)
+        perm = list(range(inst.m))
+        rng.shuffle(perm)
+        key = table_residual_key(sfn)
+        for base in (naive_oracle(sfn), exhaustive_oracle(sfn)):
+            keyed = Oracle(base.fn, residual_key=key)
+            keyless = Oracle(base.fn)
+            for order in (SequentialOrder(), SequentialOrder(perm)):
+                for o in range(inst.output_domain.size):
+                    expected = bruteforce_probability(inst, sfn, o)
+                    value, stats = dpnl(inst, o, keyed, order=order)
+                    plain, plain_stats = dpnl(inst, o, keyless, order=order)
+                    assert abs(value - expected) <= 1e-10
+                    assert abs(plain - expected) <= 1e-10
+                    assert abs(value - plain) <= 1e-12
+                    assert stats.oracle_calls <= plain_stats.oracle_calls
+                    assert plain_stats.cache_hits == 0
+                    hits += stats.cache_hits
+                    grad, grad_stats = dpnl_gradient(inst, o, keyed, order=order)
+                    assert grad.value == value
+                    assert grad_stats.cache_hits == stats.cache_hits
+                    for k in range(inst.m):
+                        assert abs(grad.reconstruct(inst, k) - grad.value) <= 1e-9
+                    numeric = finite_difference_partials(inst, sfn, o)
+                    for row_a, row_n in zip(grad.partials, numeric):
+                        for a, n in zip(row_a, row_n):
+                            assert abs(a - n) / max(1.0, abs(a), abs(n)) <= 1e-6
+    assert hits > 0

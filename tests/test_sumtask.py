@@ -4,6 +4,7 @@ import pytest
 
 from dpnl import (
     InvalidInstanceError,
+    SequentialOrder,
     SumInstanceSpec,
     Valuation,
     addition,
@@ -12,6 +13,7 @@ from dpnl import (
     check_completeness,
     check_validity,
     dpnl,
+    dpnl_gradient,
     fresh_valuation,
     output_distribution,
     right_to_left_order,
@@ -157,3 +159,56 @@ def test_spec_validation():
         SumInstanceSpec(1, [[0.1] * 10])  # one row missing
     with pytest.raises(InvalidInstanceError):
         SumInstanceSpec(1, [[0.5] * 9, [0.1] * 10])
+
+
+def test_sum_residual_key_groups_equal_residuals():
+    # every (valuation, output) pair at N=1: valuations sharing a key have
+    # the same free digits and the same outcome on each completion, unless
+    # no completion of any of them matches
+    sfn = sum_function(1)
+    _, _, oracle = build_sum_instance(SumInstanceSpec.uniform(1))
+    cells = [None] + list(range(10))
+    for r in range(20):
+        groups = {}
+        for a in cells:
+            for b in cells:
+                v = Valuation([a, b])
+                matches = tuple(sfn.fn(w.cells) == r for w in total_completions(v, sfn.domains))
+                residual = (tuple(v.free_indices()), matches) if any(matches) else "none"
+                groups.setdefault(oracle.residual_key(v, r), set()).add(residual)
+        assert all(len(residuals) == 1 for residuals in groups.values()), r
+
+
+def test_keyed_search_under_any_order():
+    # the residual key holds under every order, not only right to left
+    rng = random.Random(23)
+    for n in (1, 2):
+        spec = SumInstanceSpec(n, random_digit_rows(rng, n))
+        inst, _, oracle = build_sum_instance(spec)
+        reference = sum_distribution_reference(spec)
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        orders = [
+            right_to_left_order(n),
+            SequentialOrder(),
+            SequentialOrder(range(2 * n - 1, -1, -1)),
+            SequentialOrder(perm),
+        ]
+        for order in orders:
+            for o in range(2 * 10**n):
+                value, _ = dpnl(inst, o, oracle, order=order)
+                assert abs(value - reference[o]) <= 1e-10, (order, o)
+                grad, _ = dpnl_gradient(inst, o, oracle, order=order)
+                assert grad.value == value
+                for k in range(inst.m):
+                    assert abs(grad.reconstruct(inst, k) - value) <= 1e-9, (order, o, k)
+
+
+def test_keyed_search_counts_n8():
+    # equal (position, carry, pending digits) states are solved once: the
+    # search without the key does not finish this query
+    inst, _, oracle = build_sum_instance(SumInstanceSpec.uniform(8))
+    value, stats = dpnl(inst, 10**8 - 1, oracle, order=right_to_left_order(8))
+    assert abs(value - 1e-8) <= 1e-12 * 1e-8
+    assert stats.oracle_calls <= 200
+    assert stats.cache_hits > 0
