@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import re
 import time
+from itertools import compress, count, islice, repeat
+from operator import is_, ne
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -112,6 +114,11 @@ class HornProgram:
         return len(self.atom_names)
 
     def solver(self) -> "_Solver":
+        """The program's one propagation state, built on first use.
+
+        It is mutable and shared by the program's oracle, variable order and
+        ``SymbolicFunction``; see ``_Solver`` for what that allows.
+        """
         if self._solver is None:
             self._solver = _Solver(self)
         return self._solver
@@ -125,77 +132,182 @@ class HornProgram:
 
 
 class _Solver:
-    """Counter-based forward chaining over a program's interned rules.
+    """Incremental counter-based forward chaining over one program's rules.
 
     Deterministic rules come first in the rule arrays, followed by the
-    probabilistic ones; per call the caller says which probabilistic rules
-    are active. A single-slot memo keeps the most recent committed fixpoint
-    so the variable-order heuristic can reuse the oracle's work; the memo is
-    immutable and advisory, so concurrent queries at worst recompute.
+    probabilistic ones. One state persists between calls:
+
+    - the derived atoms;
+    - for every rule, the number of its body atoms not yet derived, kept
+      against the derived set whether or not the rule is enabled;
+    - per-rule enabled flags (deterministic rules are always enabled);
+    - a trail of derived atoms, cut into one level per enabled probabilistic
+      rule. Atoms derived from the deterministic rules alone sit below the
+      first level and are never undone.
+
+    Each query commits its valuation first: the levels from the lowest one
+    whose rule is no longer assigned 1 are undone (their atoms popped, each
+    giving one missing count back to the rules that watch it), then every
+    rule assigned 1 and not enabled gets a new level and is propagated, as a
+    SAT solver undoes its trail on backtrack (Eén and Sörensson, SAT 2003).
+    Propagation is the linear-time counter scheme of Dowling and Gallier
+    (1984), with the trail as its queue; it never recurses. Committing the
+    previous call's valuation again does no work beyond comparing the two
+    valuations in C; otherwise the cost is the work of the undone and the
+    new levels.
+
+    The state is mutable and shared by everything built on one program: its
+    oracle, its variable order and its ``SymbolicFunction``. Interleaved
+    calls are safe, because each call commits its own valuation before it
+    reads the state; concurrent calls from several threads are not.
     """
 
     def __init__(self, prog: HornProgram):
-        self.num_atoms = prog.num_atoms
-        self.num_det = len(prog.det_rules)
+        num_det = len(prog.det_rules)
+        self.num_det = num_det
         rules = list(prog.det_rules) + list(prog.prob_rules)
         self.heads = [h for h, _ in rules]
         self.bodies = [b for _, b in rules]
         self.query = prog.query
         self.prob_bodies = [b for _, b in prog.prob_rules]
-        watchers: list[list[int]] = [[] for _ in range(self.num_atoms)]
+        self.prob_ids = range(num_det, len(rules))
+        watchers: list[list[int]] = [[] for _ in range(prog.num_atoms)]
         for r, body in enumerate(self.bodies):
             for a in body:
                 watchers[a].append(r)
         self.watchers = watchers
-        self.last_committed: Optional[tuple[tuple, bytes]] = None
+        self.derived = bytearray(prog.num_atoms)
+        self.missing = [len(b) for b in self.bodies]
+        self.enabled = bytearray(len(rules))
+        self.trail: list[int] = []
+        self.level_rules: list[int] = []  # probabilistic rule of each level
+        self.level_starts: list[int] = []  # trail length when it was enabled
+        self.level_of = [0] * prog.m  # level of each committed rule
+        self.cells: tuple = (None,) * prog.m  # the committed valuation
+        # see entails_optimistic
+        self.certificate: Optional[list[int]] = None
+        self._enable(range(num_det))
 
-    def fixpoint(self, enabled: Sequence[bool], seed: Optional[bytes] = None) -> bytearray:
-        derived = bytearray(self.num_atoms) if seed is None else bytearray(seed)
-        num_rules = len(self.bodies)
-        missing = [-1] * num_rules
-        agenda: list[int] = []
-        # count missing body atoms against the seed only: everything derived
-        # later passes through the agenda exactly once, so each counter is
-        # decremented once per non-seed body atom
-        for r in range(num_rules):
-            if not enabled[r]:
-                continue
-            cnt = 0
-            for a in self.bodies[r]:
-                if not derived[a]:
-                    cnt += 1
-            missing[r] = cnt
-        for r in range(num_rules):
-            if missing[r] == 0:
-                h = self.heads[r]
+    def _enable(self, rules: Iterable[int]) -> None:
+        """Enable the rules and propagate: each derived atom takes one
+        missing count from every rule that watches it, and an enabled rule
+        left with none derives its head. The trail is the queue."""
+        trail = self.trail
+        derived = self.derived
+        missing = self.missing
+        enabled = self.enabled
+        heads = self.heads
+        watchers = self.watchers
+        i = len(trail)
+        for r in rules:
+            enabled[r] = 1
+            if not missing[r]:
+                h = heads[r]
                 if not derived[h]:
                     derived[h] = 1
-                    agenda.append(h)
-        watchers = self.watchers
-        heads = self.heads
-        while agenda:
-            a = agenda.pop()
+                    trail.append(h)
+        for a in islice(trail, i, None):
             for r in watchers[a]:
-                if missing[r] > 0:
-                    missing[r] -= 1
-                    if missing[r] == 0:
-                        h = heads[r]
-                        if not derived[h]:
-                            derived[h] = 1
-                            agenda.append(h)
-        return derived
+                n = missing[r] - 1
+                missing[r] = n
+                if n == 0 and enabled[r]:
+                    h = heads[r]
+                    if not derived[h]:
+                        derived[h] = 1
+                        trail.append(h)
 
-    def committed_fixpoint(self, cells: tuple) -> bytes:
-        memo = self.last_committed
-        if memo is not None and memo[0] == cells:
-            return memo[1]
-        enabled = [True] * self.num_det + [c == 1 for c in cells]
-        derived = bytes(self.fixpoint(enabled))
-        self.last_committed = (cells, derived)
-        return derived
+    def _undo(self, t: int) -> None:
+        """Pop the trail back to length ``t``."""
+        trail = self.trail
+        derived = self.derived
+        missing = self.missing
+        watchers = self.watchers
+        for a in trail[t:]:
+            derived[a] = 0
+            for r in watchers[a]:
+                missing[r] += 1
+        del trail[t:]
 
-    def entails_committed(self, cells: tuple) -> bool:
+    def _commit(self, cells: tuple) -> None:
+        """Bring the state to the rules assigned 1 in ``cells``."""
+        prev = self.cells
+        if cells == prev:
+            return
+        if len(cells) != len(prev):
+            raise InvalidInstanceError(
+                "valuation length %d does not match %d rules" % (len(cells), len(prev))
+            )
+        num_det = self.num_det
+        enabled = self.enabled
+        level_rules = self.level_rules
+        level_of = self.level_of
+        new = []
+        lowest = len(level_rules)
+        for k in compress(count(), map(ne, cells, prev)):
+            if cells[k] == 1:
+                new.append(k)
+            elif enabled[num_det + k]:
+                lowest = min(lowest, level_of[k])
+        if lowest < len(level_rules):
+            self._undo(self.level_starts[lowest])
+            kept = []
+            for k in level_rules[lowest:]:
+                enabled[num_det + k] = 0
+                if cells[k] == 1:
+                    kept.append(k)
+            del level_rules[lowest:]
+            del self.level_starts[lowest:]
+            new = kept + new
+        for k in new:
+            level_of[k] = len(level_rules)
+            level_rules.append(k)
+            self.level_starts.append(len(self.trail))
+            self._enable((num_det + k,))
+        self.cells = cells
+
+    def committed_fixpoint(self, cells: Sequence) -> bytearray:
+        """Derived atoms of the deterministic rules plus the probabilistic
+        rules assigned 1. The array is the solver's live state: read it
+        before the next call on this solver."""
+        self._commit(tuple(cells))
+        return self.derived
+
+    def entails_committed(self, cells: Sequence) -> bool:
         return bool(self.committed_fixpoint(cells)[self.query])
+
+    def entails_optimistic(self, cells: tuple) -> bool:
+        """Whether the rules not assigned 0 derive the query.
+
+        The unassigned rules are enabled on top of the committed state, the
+        query is read, and the trail is undone to where it was. A run that
+        derives the query leaves a certificate: the probabilistic rules not
+        assigned 0 whose heads it derived. Every rule that fired is among
+        them, so with the deterministic rules they derive the query; while
+        none of them is assigned 0, the answer is yes by monotonicity,
+        without propagation.
+        """
+        cert = self.certificate
+        if cert is not None and 0 not in map(cells.__getitem__, cert):
+            return True
+        derived = self.committed_fixpoint(cells)
+        if derived[self.query]:
+            return True
+        t = len(self.trail)
+        free = list(compress(self.prob_ids, map(is_, cells, repeat(None))))
+        self._enable(free)
+        found = bool(derived[self.query])
+        if found:
+            num_det = self.num_det
+            heads = self.heads
+            self.certificate = [
+                r - num_det for r in self.prob_ids
+                if cells[r - num_det] != 0 and derived[heads[r]]
+            ]
+        self._undo(t)
+        enabled = self.enabled
+        for r in free:
+            enabled[r] = 0
+        return found
 
 
 def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> bool:
@@ -215,28 +327,27 @@ def logic_oracle(prog: HornProgram) -> Oracle:
     the query, impossible once even the optimistic set (assigned 1 plus
     unassigned) fails to entail it, undecided otherwise; the answer is
     inverted for an output of 0. Monotonicity of Horn logic makes both
-    decisions sound. The optimistic run is seeded with the committed
-    fixpoint, so a call costs at most two propagations.
+    decisions sound.
+
+    A call costs the change of the committed rules since the previous call
+    on the program's solver, plus, when the committed rules fail and the
+    last certificate does not hold, one propagation of the unassigned rules
+    on top of them and its undo. A chain ``a_{k+1} :- a_k, f_k`` of m facts
+    is therefore still O(m^2) per search, with a small constant: the
+    ``f_k = 0`` child at depth k enables the m - k - 1 unassigned facts.
     """
     solver = prog.solver()
-    num_det = solver.num_det
-    q = solver.query
 
     def query(v: Valuation, o: int) -> OracleVerdict:
         if o not in (0, 1):
             raise InvalidInstanceError("query output must be 0 or 1, got %r" % (o,))
         cells = v.cells
-        committed = solver.committed_fixpoint(cells)
-        if committed[q]:
+        if solver.entails_committed(cells):
             res = 1
+        elif None not in cells:
+            res = 0
         else:
-            has_unknown = None in cells
-            if not has_unknown:
-                res = 0
-            else:
-                enabled = [True] * num_det + [c is None or c == 1 for c in cells]
-                optimistic = solver.fixpoint(enabled, seed=committed)
-                res = None if optimistic[q] else 0
+            res = None if solver.entails_optimistic(cells) else 0
         if res is None:
             return VERDICT_UNKNOWN
         if o == 0:

@@ -89,7 +89,7 @@ def random_horn_program(rng: random.Random, m_max=8) -> HornProgram:
     return HornProgram(deterministic, probabilistic, rng.choice(atoms))
 
 
-def naive_entails(rules, query) -> bool:
+def naive_derived(rules) -> set:
     """Repeated full scans until nothing new derives; the textbook fixpoint."""
     derived = set()
     changed = True
@@ -99,7 +99,11 @@ def naive_entails(rules, query) -> bool:
             if head not in derived and all(b in derived for b in body):
                 derived.add(head)
                 changed = True
-    return query in derived
+    return derived
+
+
+def naive_entails(rules, query) -> bool:
+    return query in naive_derived(rules)
 
 
 def horn_rules(prog: HornProgram, mask) -> list:

@@ -7,16 +7,23 @@ from hypothesis import given, strategies as st
 
 from dpnl import (
     DegeneratePrefixError,
+    Exhaustive,
+    Fifo,
+    HornProgram,
     InvalidInstanceError,
+    MaxProbability,
     ProgramError,
     SequentialOrder,
     Valuation,
     ad_recover,
     ad_transform,
     applicable_rule_order,
+    approx_dpnl,
     check_completeness,
     check_validity,
+    dpnl_gradient,
     entails,
+    finite_difference_partials,
     fresh_valuation,
     logic_instance,
     logic_oracle,
@@ -26,7 +33,13 @@ from dpnl import (
     success_probability,
     success_probability_bruteforce,
 )
-from conftest import count_simple_paths, horn_rules, naive_entails, random_horn_program
+from conftest import (
+    count_simple_paths,
+    horn_rules,
+    naive_derived,
+    naive_entails,
+    random_horn_program,
+)
 
 
 def test_entails_examples():
@@ -227,6 +240,108 @@ def test_applicable_rule_order_picks_frontier_edges():
         stack.extend(v.assign(k, x) for x in (0, 1))
         visited += 1
     assert visited == 17
+
+
+# ---------------------------------------------------------------------------
+# incremental solver state
+
+def _horn_programs(rng, count, m_max, nodes):
+    """Random programs (cycles, probabilistic rules with bodies, shared
+    heads), then reachability programs on each number of nodes."""
+    progs = [random_horn_program(rng, m_max=m_max) for _ in range(count)]
+    for n in nodes:
+        table = [[round(rng.uniform(0.1, 0.9), 3) for _ in range(n)] for _ in range(n)]
+        progs.append(reachability_program(n, table))
+    return progs
+
+
+def test_solver_random_walk_matches_naive_fixpoint():
+    """Interleaved queries on one solver state, along a walk that descends
+    one cell at a time, backtracks to earlier prefixes, jumps to random
+    valuations and sets certificate rules and committed rules to 0."""
+    rng = random.Random(23)
+    for prog in _horn_programs(random.Random(22), 30, 8, (3, 4)):
+        m = prog.m
+        solver = prog.solver()
+        oracle = logic_oracle(prog)
+        history = [fresh_valuation(m)]
+        kinds = set()
+        for step in range(240):
+            v = history[-1]
+            move = rng.random()
+            free = v.free_indices()
+            if move < 0.45 and free:
+                kinds.add("assign")
+                history.append(v.assign(rng.choice(free), rng.randint(0, 1)))
+            elif move < 0.65 and len(history) > 1:
+                kinds.add("backtrack")
+                del history[rng.randrange(1, len(history)):]
+            elif move < 0.8:
+                kinds.add("jump")
+                history = [Valuation([rng.choice([0, 1, None]) for _ in range(m)])]
+            else:
+                kinds.add("zero")
+                targets = set(solver.certificate or ()) | {k for k, c in enumerate(v) if c == 1}
+                if targets:
+                    history.append(v.assign(rng.choice(sorted(targets)), 0))
+            v = history[-1]
+            committed = naive_derived(horn_rules(prog, [c == 1 for c in v]))
+            optimistic = naive_derived(horn_rules(prog, [c != 0 for c in v]))
+            expected = 1 if prog.query in committed else 0 if prog.query not in optimistic else None
+            checks = [
+                lambda: {a for a, d in enumerate(solver.committed_fixpoint(v.cells)) if d} == committed,
+                lambda: solver.entails_committed(v.cells) == (prog.query in committed),
+                lambda: oracle(v, 1).answer == expected,
+                lambda: oracle(v, 0).answer == (None if expected is None else 1 - expected),
+            ]
+            rng.shuffle(checks)
+            for check in checks:
+                assert check(), (prog, step, v)
+        assert kinds == {"assign", "backtrack", "jump", "zero"}
+        with pytest.raises(InvalidInstanceError):
+            oracle(Valuation([None] * (m + 1)), 1)
+
+
+def test_approx_exhaustive_on_horn_programs_matches_bruteforce():
+    """Best-first and breadth-first frontiers jump between distant
+    valuations of the one solver state."""
+    for prog in _horn_programs(random.Random(24), 40, 8, (3, 4)):
+        inst, _, oracle = logic_instance(prog)
+        expected = success_probability_bruteforce(prog)
+        for heuristic in (MaxProbability(), Fifo()):
+            for order in (None, applicable_rule_order(prog)):
+                bounds, _ = approx_dpnl(inst, 1, oracle, Exhaustive(), heuristic, order=order)
+                assert abs(bounds.low - expected) <= 1e-12
+                assert abs(bounds.up - expected) <= 1e-12
+
+
+def test_horn_gradient_matches_finite_differences():
+    for prog in _horn_programs(random.Random(25), 30, 7, (3, 4)):
+        inst, sfn, oracle = logic_instance(prog)
+        grad, _ = dpnl_gradient(inst, 1, oracle, order=applicable_rule_order(prog))
+        assert abs(grad.value - success_probability_bruteforce(prog)) <= 1e-12
+        fd = finite_difference_partials(inst, sfn, 1)
+        for row, fd_row in zip(grad.partials, fd):
+            assert max(abs(a - b) for a, b in zip(row, fd_row)) <= 1e-6
+
+
+def test_deep_chain_oracle_walk():
+    """The search path of a 5,000-fact chain, walked without the engine:
+    propagation must not recurse, and the certificate must not answer
+    unknown where the answer is 0."""
+    m = 5000
+    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
+    prob = [(0.99, "f%d" % k, []) for k in range(m)]
+    prog = HornProgram(det, prob, "a%d" % m)
+    oracle = logic_oracle(prog)
+    cells = [None] * m
+    for k in range(m):
+        cells[k] = 0
+        assert oracle(Valuation(cells), 1).answer == 0, k
+        cells[k] = 1
+        assert oracle(Valuation(cells), 1).answer == (1 if k == m - 1 else None), k
+    facts = [("f%d" % k, []) for k in range(m)]
+    assert entails(det + facts, "a%d" % m)
 
 
 # ---------------------------------------------------------------------------
