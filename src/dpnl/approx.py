@@ -6,6 +6,15 @@ oracle accepts moves into the lower bound; rejected mass comes off the upper
 bound; undecided valuations are expanded one variable at a time. At every
 step the exact value lies in [low, up], and the reported point estimate is
 the geometric mean sqrt(low * up).
+
+The frontier holds one entry per residual key of the oracle. A child whose
+key is already queued is merged into that entry: the masses add up, and one
+oracle call later settles or expands the sum. Equal keys mean the same free
+variables and the same output on every completion (or no matching completion
+at all), hence the same conditional value, so a merge changes neither bound's
+soundness; it is component caching applied to a best-first frontier. Bound
+updates are rounded outward, with a margin for the rounding of the mass
+products and sums, so the bounds hold in floating point as well.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Hashable, Optional
 
 from .core import Instance, QueryStats, Valuation, fresh_valuation
 from .inference import SequentialOrder, VariableOrder, _checked_choice
@@ -32,9 +41,7 @@ class Bounds:
 
     @property
     def estimate(self) -> float:
-        product = self.low * self.up
-        # guard: up can drift a few ulp below zero in exhausted zero-mass runs
-        return math.sqrt(product) if product > 0.0 else 0.0
+        return math.sqrt(self.low * self.up)
 
     @property
     def gap(self) -> float:
@@ -104,11 +111,6 @@ class _StepLimit(StopPolicy):
         return stop
 
 
-def _lex_key(v: Valuation) -> tuple[int, ...]:
-    # total order on valuations; unassigned sorts before value 0
-    return tuple(-1 if c is None else c for c in v.cells)
-
-
 class ExploreHeuristic:
     """Frontier discipline: which unresolved valuation to expand next."""
 
@@ -116,76 +118,123 @@ class ExploreHeuristic:
         raise NotImplementedError
 
 
-class _Frontier:
-    def push(self, v: Valuation, mass: float, log_mass: float) -> None:
-        raise NotImplementedError
+class _Entry:
+    """The queued mass of every pushed valuation with one residual key.
 
-    def pop(self) -> tuple[Valuation, float, float]:
-        raise NotImplementedError
+    ``v`` is the first of them, the one the oracle sees. ``rounds`` bounds
+    the roundings behind ``mass``, one per product on any path into it and
+    one per merge, so ``mass`` is within a relative ``rounds * 2**-53`` of
+    its exact value (to first order).
+    """
+
+    __slots__ = ("v", "key", "mass", "log_mass", "rounds")
+
+    def __init__(self, v: Valuation, key: Hashable, mass: float, log_mass: float, rounds: int):
+        self.v = v
+        self.key = key
+        self.mass = mass
+        self.log_mass = log_mass
+        self.rounds = rounds
+
+
+class _Frontier:
+    """Live entries, at most one per residual key, with their total mass.
+
+    Subclasses fix the order: ``_push`` queues a new entry, ``_raise`` is
+    told that a queued entry's log-mass grew, and ``_take`` removes and
+    returns the next live entry.
+    """
+
+    def __init__(self):
+        self.live: dict[Hashable, _Entry] = {}
+        self.mass = 0.0
 
     def __len__(self) -> int:
+        return len(self.live)
+
+    def add(self, key: Hashable, v: Valuation, mass: float, log_mass: float, rounds: int) -> bool:
+        """Queue ``v``, or merge its mass into the live entry with the same
+        key; returns whether it merged."""
+        self.mass += mass
+        entry = self.live.get(key)
+        if entry is None:
+            entry = self.live[key] = _Entry(v, key, mass, log_mass, rounds)
+            self._push(entry)
+            return False
+        entry.mass += mass
+        entry.rounds = (rounds if rounds > entry.rounds else entry.rounds) + 1
+        log_sum = _log_add(entry.log_mass, log_mass)
+        if log_sum != entry.log_mass:
+            entry.log_mass = log_sum
+            self._raise(entry)
+        return True
+
+    def pop(self) -> _Entry:
+        entry = self._take()
+        del self.live[entry.key]
+        # exactly 0.0 once nothing is queued, whatever the rounding
+        self.mass = self.mass - entry.mass if self.live else 0.0
+        return entry
+
+    def _push(self, entry: _Entry) -> None:
         raise NotImplementedError
 
-    def entries(self) -> Iterator[float]:
-        """Masses currently queued (for conservation checks)."""
+    def _raise(self, entry: _Entry) -> None:
+        pass
+
+    def _take(self) -> _Entry:
         raise NotImplementedError
 
 
 class _MaxProbFrontier(_Frontier):
-    # comparisons use log-mass so deep low-probability valuations cannot
-    # underflow the ordering; ties break on lexicographic valuation order
+    # the heap orders on log-mass, so deep low-probability valuations cannot
+    # underflow the ordering, and ties go to the earlier push. A merge pushes
+    # the entry again under its larger log-mass; the superseded item no
+    # longer matches the entry's log-mass and is dropped when it surfaces.
     def __init__(self):
-        self.heap: list[tuple[float, tuple[int, ...], float, Valuation]] = []
+        super().__init__()
+        self.heap: list[tuple[float, int, _Entry]] = []
+        self.pushes = 0
 
-    def push(self, v, mass, log_mass):
-        heapq.heappush(self.heap, (-log_mass, _lex_key(v), mass, v))
+    def _push(self, entry):
+        self.pushes += 1
+        heapq.heappush(self.heap, (-entry.log_mass, self.pushes, entry))
 
-    def pop(self):
-        neg_log, _, mass, v = heapq.heappop(self.heap)
-        return v, mass, -neg_log
+    _raise = _push
 
-    def __len__(self):
-        return len(self.heap)
-
-    def entries(self):
-        return (entry[2] for entry in self.heap)
+    def _take(self):
+        while True:
+            neg_log, _, entry = heapq.heappop(self.heap)
+            if -neg_log == entry.log_mass:
+                return entry
 
 
 class _FifoFrontier(_Frontier):
+    # a merged entry keeps its place in the queue
     def __init__(self):
-        self.queue: deque[tuple[Valuation, float, float]] = deque()
+        super().__init__()
+        self.queue: deque[_Entry] = deque()
 
-    def push(self, v, mass, log_mass):
-        self.queue.append((v, mass, log_mass))
+    def _push(self, entry):
+        self.queue.append(entry)
 
-    def pop(self):
+    def _take(self):
         return self.queue.popleft()
-
-    def __len__(self):
-        return len(self.queue)
-
-    def entries(self):
-        return (entry[1] for entry in self.queue)
 
 
 class _RandomFrontier(_Frontier):
     def __init__(self, seed: int):
+        super().__init__()
         self.rng = random.Random(seed)
-        self.items: list[tuple[Valuation, float, float]] = []
+        self.items: list[_Entry] = []
 
-    def push(self, v, mass, log_mass):
-        self.items.append((v, mass, log_mass))
+    def _push(self, entry):
+        self.items.append(entry)
 
-    def pop(self):
+    def _take(self):
         i = self.rng.randrange(len(self.items))
         self.items[i], self.items[-1] = self.items[-1], self.items[i]
         return self.items.pop()
-
-    def __len__(self):
-        return len(self.items)
-
-    def entries(self):
-        return (entry[1] for entry in self.items)
 
 
 class MaxProbability(ExploreHeuristic):
@@ -225,6 +274,22 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
+def _log_add(a: float, b: float) -> float:
+    # log(exp(a) + exp(b)) without leaving log space
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a)) if b > -math.inf else a
+
+
+def _valuation_key(v: Valuation, o: int) -> Hashable:
+    # the key of a keyless oracle: the valuations of one tree are distinct
+    return v.cells
+
+
+# unit roundoff of binary64 round-to-nearest
+_UNIT = 2.0**-53
+
+
 def approx_dpnl(
     inst: Instance,
     o: int,
@@ -238,46 +303,58 @@ def approx_dpnl(
 
     Runs the frontier loop until the stop policy fires (checked at the loop
     head only) or the frontier empties; the latter reproduces the exact
-    value. When ``trace`` is a list, a snapshot is appended after every
+    value. A child whose residual key (``oracle.residual_key``, else its
+    cells) equals that of a queued entry is merged into it: its mass is
+    added to the entry's and no second valuation is queued, which counts as
+    a cache hit. Equal keys mean equal conditional values, so one oracle
+    call settles the merged mass: it all goes to ``low``, all comes off
+    ``up``, or is split among the children of the entry's valuation. Each
+    settled mass is shrunk by the relative error its roundings allow and the
+    bounds are rounded outward, so ``low <= exact <= up`` holds in floating
+    point. When ``trace`` is a list, a snapshot is appended after every
     iteration, preceded by the initial (0, 1) state.
     """
     if order is None:
         order = SequentialOrder()
+    residual_key = oracle.residual_key or _valuation_key
     stats = QueryStats()
     probs = [d.probs for d in inst.dists]
+    log_probs = [[_log(p) for p in row] for row in probs]
     low = 0.0
     up = 1.0
     frontier = heuristic.make_frontier()
-    frontier.push(fresh_valuation(inst.m), 1.0, 0.0)
+    root = fresh_valuation(inst.m)
+    frontier.add(residual_key(root, o), root, 1.0, 0.0, 0)
     start = time.perf_counter()
     iteration = 0
     if trace is not None:
         trace.append(TraceSnapshot(0, Bounds(low, up), 1.0))
     while len(frontier) > 0 and not stop.should_stop(low, up, time.perf_counter() - start):
-        v, mass, log_mass = frontier.pop()
+        entry = frontier.pop()
+        v = entry.v
         stats.oracle_calls += 1
         answer = oracle(v, o).answer
-        if answer == 1:
-            stats.leaves_true += 1
-            low += mass
-        elif answer == 0:
-            stats.leaves_false += 1
-            up -= mass
-        else:
+        if answer is None:
             stats.branch_nodes += 1
             k = _checked_choice(order, v)
-            row = probs[k]
-            for y, p in enumerate(row):
-                frontier.push(v.assign(k, y), mass * p, log_mass + _log(p))
+            mass, log_mass, rounds = entry.mass, entry.log_mass, entry.rounds + 1
+            for y, (p, log_p) in enumerate(zip(probs[k], log_probs[k])):
+                child = v.assign(k, y)
+                if frontier.add(residual_key(child, o), child, mass * p, log_mass + log_p, rounds):
+                    stats.cache_hits += 1
+        else:
+            # shrunk below the exact mass: the margin covers the entry's
+            # roundings and the one in this product
+            settled = entry.mass * (1.0 - (entry.rounds + 2) * 2 * _UNIT)
+            if answer == 1:
+                stats.leaves_true += 1
+                low = max(low, math.nextafter(low + settled, -math.inf))
+            else:
+                stats.leaves_false += 1
+                up = min(up, math.nextafter(up - settled, math.inf))
         iteration += 1
         if trace is not None:
-            trace.append(
-                TraceSnapshot(
-                    iteration,
-                    Bounds(low, up),
-                    math.fsum(frontier.entries()),
-                )
-            )
+            trace.append(TraceSnapshot(iteration, Bounds(low, up), frontier.mass))
     stats.wall_time = time.perf_counter() - start
     return Bounds(low, up), stats
 

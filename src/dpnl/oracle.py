@@ -61,8 +61,9 @@ class Oracle:
     """Named callable (valuation, output) -> OracleVerdict.
 
     ``residual_key``, if given, maps (valuation, output) to a hashable key
-    under which the exact search memoises sub-problems. Equal keys must
-    imply the same free variables and the same output on each of their
+    under which the exact search memoises sub-problems and the anytime loop
+    (``approx_dpnl``) merges queued valuations into one entry. Equal keys
+    must imply the same free variables and the same output on each of their
     completions, so the same conditional value and the same partials for
     any tables; valuations none of whose completions match may share a key
     whatever their free variables.

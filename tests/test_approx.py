@@ -1,26 +1,36 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from dpnl import (
     Bounds,
+    DiscreteDistribution,
+    Domain,
     EpsAdditive,
     EpsMultiplicative,
     Exhaustive,
     Fifo,
+    Instance,
     MaxProbability,
+    Oracle,
     RandomChoice,
     SumInstanceSpec,
+    SymbolicFunction,
     TimeBudget,
     approx_dpnl,
     bound_trace,
     build_sum_instance,
     dpnl,
     exhaustive_oracle,
+    fresh_valuation,
     naive_oracle,
     right_to_left_order,
 )
-from conftest import random_digit_rows, random_table_instance
+from dpnl.approx import _StepLimit
+from conftest import random_digit_rows, random_table_instance, table_residual_key
 
 HEURISTICS = [MaxProbability(), Fifo(), RandomChoice(77)]
 
@@ -182,3 +192,111 @@ def test_eps_delta_checker_on_guaranteed_runs():
                 violations += 1
     assert runs == 30
     assert violations / runs == 0.0
+
+
+def keyed_and_keyless_cases():
+    """(instance, keyed oracle, the same oracle without key, order, outputs)."""
+    rng = random.Random(61)
+    for _ in range(25):
+        inst, sfn = random_table_instance(rng, m_max=5, size_max=4)
+        for base in (naive_oracle(sfn), exhaustive_oracle(sfn)):
+            keyed = Oracle(base.fn, residual_key=table_residual_key(sfn))
+            yield inst, keyed, Oracle(base.fn), None, range(inst.output_domain.size)
+    for n, outputs in ((1, range(20)), (2, (0, 9, 63, 100, 154, 199))):
+        inst, oracle, order = sum_setup(rng, n)
+        yield inst, oracle, Oracle(oracle.fn), order, outputs
+
+
+def test_merging_equal_keys_keeps_values_and_saves_calls():
+    merges = 0
+    for inst, keyed, keyless, order, outputs in keyed_and_keyless_cases():
+        for o in outputs:
+            exact, _ = dpnl(inst, o, keyed, order=order)
+            for heuristic in HEURISTICS:
+                runs = []
+                for oracle in (keyed, keyless):
+                    bounds, stats = approx_dpnl(inst, o, oracle, Exhaustive(), heuristic, order=order)
+                    assert abs(bounds.low - exact) <= 1e-10
+                    assert abs(bounds.up - exact) <= 1e-10
+                    runs.append(stats)
+                    for stop in (EpsAdditive(0.05), EpsMultiplicative(0.1)):
+                        bounds, _ = approx_dpnl(inst, o, oracle, stop, heuristic, order=order)
+                        assert bounds.low - 1e-12 <= exact <= bounds.up + 1e-12
+                keyed_stats, keyless_stats = runs
+                assert keyed_stats.oracle_calls <= keyless_stats.oracle_calls
+                # valuations of one tree never share cells
+                assert keyless_stats.cache_hits == 0
+                merges += keyed_stats.cache_hits
+    assert merges > 0
+
+
+def test_step_limit_counts_iterations_not_merges():
+    rng = random.Random(62)
+    inst, oracle, order = sum_setup(rng, n=2)
+    for heuristic in HEURISTICS:
+        snaps = bound_trace(inst, 63, oracle, heuristic, max_steps=5, order=order)
+        assert [snap.iteration for snap in snaps] == list(range(6))
+        trace = []
+        _, stats = approx_dpnl(inst, 63, oracle, _StepLimit(5), heuristic, order=order, trace=trace)
+        assert trace == snaps
+        assert stats.oracle_calls == 5
+        assert stats.cache_hits > 0
+
+
+def drift_instance(rng, m):
+    """Binary variables whose rows [p, 1 - p], 0.9 <= p < 1, sum to exactly
+    1 in binary64 (1 - p is exact), so the Fraction sum over total valuations
+    is the exact value of the float tables. Output 3 is never produced."""
+    rows = []
+    for _ in range(m):
+        p = rng.uniform(0.9, 1.0)
+        row = [p, 1.0 - p]
+        rng.shuffle(row)
+        rows.append(row)
+    totals = list(itertools.product((0, 1), repeat=m))
+    table = {args: rng.randrange(3) for args in totals}
+    exact = [Fraction(0)] * 4
+    for args in totals:
+        weight = Fraction(1)
+        for row, x in zip(rows, args):
+            weight *= Fraction(row[x])
+        exact[table[args]] += weight
+    domains = [Domain(2)] * m
+    sfn = SymbolicFunction(domains, Domain(4), table.__getitem__, name="drift")
+    inst = Instance(domains, [DiscreteDistribution(row) for row in rows], Domain(4))
+    return inst, sfn, exact
+
+
+def test_bounds_certified_in_floating_point():
+    # rounded mass products and running sums put uncorrected bounds a few
+    # ulp on the wrong side of the exact value
+    rng = random.Random(63)
+    for m, count in ((8, 4), (3, 200)):
+        for _ in range(count):
+            inst, sfn, exact = drift_instance(rng, m)
+            plain = naive_oracle(sfn)
+            for oracle in (plain, Oracle(plain.fn, residual_key=table_residual_key(sfn))):
+                for o in range(4):
+                    for heuristic in HEURISTICS:
+                        snaps = bound_trace(inst, o, oracle, heuristic, max_steps=10**6)
+                        for snap in snaps:
+                            assert Fraction(snap.bounds.low) <= exact[o] <= Fraction(snap.bounds.up)
+                        assert snaps[-1].bounds.gap <= 1e-12
+
+
+def test_max_probability_reprioritises_merged_entries():
+    frontier = MaxProbability().make_frontier()
+    v = fresh_valuation(2)
+    for key, y, mass in (("a", 0, 0.3), ("b", 1, 0.2), ("c", 2, 0.25)):
+        assert not frontier.add(key, v.assign(0, y), mass, math.log(mass), 1)
+    assert frontier.add("b", v.assign(1, 0), 0.2, math.log(0.2), 1)
+    assert len(frontier) == 3
+    popped = [frontier.pop() for _ in range(3)]
+    assert [(e.key, e.v.cells, e.mass) for e in popped] == [
+        ("b", (1, None), 0.4),
+        ("a", (0, None), 0.3),
+        ("c", (2, None), 0.25),
+    ]
+    # the superseded heap item of "b" is no live entry
+    assert len(frontier) == 0
+    assert frontier.mass == 0.0

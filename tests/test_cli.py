@@ -150,6 +150,21 @@ def test_approx_trace_file(tmp_path):
         assert cur["up"] <= prev["up"]
 
 
+def test_approx_report_counts_merges_as_cache_hits(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    assert main(
+        [
+            "approx", "--n", "2", "--uniform", "--sum", "63",
+            "--stop", "exhaustive", "--json", str(report_path),
+        ]
+    ) == 0
+    data = json.loads(report_path.read_text())
+    assert list(data.keys()) == REPORT_KEYS
+    assert data["low"] <= 0.0064 <= data["up"]
+    assert data["cache_hits"] > 0
+    assert "cache_hits=%d " % data["cache_hits"] in capsys.readouterr().out
+
+
 def test_approx_missing_eps_is_usage_error(capsys):
     assert main(["approx", "--n", "1", "--uniform", "--sum", "4", "--stop", "eps-mult"]) == 2
     assert "eps" in capsys.readouterr().err
