@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -13,7 +11,7 @@ from typing import Optional
 
 from . import approx as approx_mod
 from . import logic as logic_mod
-from .cnf import parse_dimacs, probdpll, pwmc_bruteforce, WeightMap
+from .cnf import parse_dimacs, parse_weights, probdpll, pwmc_bruteforce, WeightMap
 from .core import InvalidInstanceError, QueryStats
 from .inference import (
     SequentialOrder,
@@ -29,9 +27,6 @@ from .sumtask import (
     right_to_left_order,
     sum_distribution_reference,
 )
-
-CSV_HEADER = ["task", "size", "policy", "mean_time_s", "std_time_s", "mean_nodes", "provenance_clauses"]
-
 
 @dataclass
 class RunReport:
@@ -91,30 +86,12 @@ def _cross_check(name: str, got: float, reference: float, tol: float) -> int:
     return 0
 
 
-def _read_weight_lines(path: str, num_vars: int) -> WeightMap:
-    probs = [0.5] * num_vars
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            fields = line.split()
-            if fields[0] == "w":
-                fields = fields[1:]
-            if len(fields) != 2:
-                raise InvalidInstanceError("weights line %d malformed" % lineno)
-            var = int(fields[0])
-            if not 1 <= var <= num_vars:
-                raise InvalidInstanceError("weights line %d: variable out of range" % lineno)
-            probs[var - 1] = float(fields[1])
-    return WeightMap(probs)
-
-
 def cmd_pwmc(args) -> int:
     with open(args.cnf) as fh:
         formula, file_weights = parse_dimacs(fh.read())
     if args.weights:
-        sigma = _read_weight_lines(args.weights, formula.num_vars)
+        with open(args.weights) as fh:
+            sigma = parse_weights(fh.read(), formula.num_vars)
     elif file_weights is not None:
         sigma = file_weights
     else:
@@ -187,6 +164,22 @@ def cmd_sum(args) -> int:
     return rc
 
 
+def _query_from_args(args):
+    """Instance, symbolic function, oracle, order and queried output: the
+    ``--program`` file's query (output 1), else the sum task's ``--sum``."""
+    if args.program:
+        with open(args.program) as fh:
+            prog = logic_mod.parse_program(fh.read())
+        inst, sfn, oracle = logic_mod.logic_instance(prog)
+        return inst, sfn, oracle, logic_mod.applicable_rule_order(prog), 1
+    spec = _sum_spec_from_args(args)
+    inst, sfn, oracle = build_sum_instance(spec)
+    order = _sum_order(args.order, spec.n)
+    if args.sum is None:
+        raise InvalidInstanceError("need --sum")
+    return inst, sfn, oracle, order, args.sum
+
+
 def _build_stop(args) -> approx_mod.StopPolicy:
     if args.stop == "eps-mult":
         if args.eps is None:
@@ -212,19 +205,7 @@ def _build_heuristic(args) -> approx_mod.ExploreHeuristic:
 
 
 def cmd_approx(args) -> int:
-    if args.program:
-        with open(args.program) as fh:
-            prog = logic_mod.parse_program(fh.read())
-        inst, _, oracle = logic_mod.logic_instance(prog)
-        order = logic_mod.applicable_rule_order(prog)
-        target = 1
-    else:
-        spec = _sum_spec_from_args(args)
-        inst, _, oracle = build_sum_instance(spec)
-        order = _sum_order(args.order, spec.n)
-        if args.sum is None:
-            raise InvalidInstanceError("need --sum")
-        target = args.sum
+    inst, _, oracle, order, target = _query_from_args(args)
     stop = _build_stop(args)
     heuristic = _build_heuristic(args)
     trace = [] if args.trace else None
@@ -298,19 +279,7 @@ def _logic_order(args, prog):
 
 
 def cmd_gradcheck(args) -> int:
-    if args.program:
-        with open(args.program) as fh:
-            prog = logic_mod.parse_program(fh.read())
-        inst, sfn, oracle = logic_mod.logic_instance(prog)
-        order = logic_mod.applicable_rule_order(prog)
-        target = 1
-    else:
-        spec = _sum_spec_from_args(args)
-        inst, sfn, oracle = build_sum_instance(spec)
-        order = _sum_order(args.order, spec.n)
-        if args.sum is None:
-            raise InvalidInstanceError("need --sum")
-        target = args.sum
+    inst, sfn, oracle, order, target = _query_from_args(args)
     grad, stats = dpnl_gradient(inst, target, oracle, order=order)
     numeric = finite_difference_partials(inst, sfn, target, h=args.h)
     max_rel = 0.0
@@ -329,97 +298,6 @@ def cmd_gradcheck(args) -> int:
     return rc
 
 
-def _parse_range(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, _, hi = spec.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
-
-
-def _bench_policies(args):
-    yield "exact", None
-    yield "eps-mult(%g)" % args.eps, approx_mod.EpsMultiplicative(args.eps)
-    yield "eps-add(%g)" % args.eps_add, approx_mod.EpsAdditive(args.eps_add)
-    yield "time(%g)" % args.time, approx_mod.TimeBudget(args.time)
-
-
-def _bench_one(task, size, stop, seed):
-    import random as _random
-
-    rng = _random.Random(seed)
-    if task == "sum":
-        raw = [[rng.random() + 0.05 for _ in range(10)] for _ in range(2 * size)]
-        rows = [[p / sum(row) for p in row] for row in raw]
-        spec = SumInstanceSpec(size, rows)
-        inst, _, oracle = build_sum_instance(spec)
-        order = right_to_left_order(size)
-        target = 10**size - 1
-        provenance = ""
-    else:
-        table = [[0.5] * size for _ in range(size)]
-        prog = logic_mod.reachability_program(size, table)
-        inst, _, oracle = logic_mod.logic_instance(prog)
-        order = logic_mod.applicable_rule_order(prog)
-        target = 1
-        provenance = logic_mod.provenance_clause_count(size)
-    start = time.perf_counter()
-    if stop is None:
-        _, stats = dpnl(inst, target, oracle, order=order)
-        nodes = stats.branch_nodes
-    else:
-        _, stats = approx_mod.approx_dpnl(
-            inst, target, oracle, stop, approx_mod.MaxProbability(), order=order
-        )
-        nodes = stats.branch_nodes
-    elapsed = time.perf_counter() - start
-    return elapsed, nodes, provenance
-
-
-def cmd_bench(args) -> int:
-    sizes = _parse_range(args.n_range)
-    rows = []
-    for size in sizes:
-        for policy_name, stop in _bench_policies(args):
-            runs = [
-                _bench_one(args.task, size, stop, args.seed + r) for r in range(args.repeats)
-            ]
-            times = [r[0] for r in runs]
-            nodes = [r[1] for r in runs]
-            provenance = runs[0][2]
-            rows.append(
-                {
-                    "task": args.task,
-                    "size": size,
-                    "policy": policy_name,
-                    "mean_time_s": statistics.mean(times),
-                    "std_time_s": statistics.stdev(times) if len(times) > 1 else 0.0,
-                    "mean_nodes": statistics.mean(nodes),
-                    "provenance_clauses": provenance,
-                }
-            )
-    fmt = "%-12s %-5s %-16s %-12s %-12s %-12s %s"
-    print(fmt % ("task", "size", "policy", "mean_time_s", "std_time_s", "mean_nodes", "provenance"))
-    for row in rows:
-        print(
-            fmt
-            % (
-                row["task"],
-                row["size"],
-                row["policy"],
-                "%.6f" % row["mean_time_s"],
-                "%.6f" % row["std_time_s"],
-                "%.1f" % row["mean_nodes"],
-                row["provenance_clauses"],
-            )
-        )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-            writer.writeheader()
-            writer.writerows(rows)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpnl",
@@ -432,6 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", help="write the JSON run report to this file")
         p.add_argument("--tol", type=float, default=1e-9, help="cross-check tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
+
+    def query(p):
+        p.add_argument("--n", type=int, help="digits per summand (sum task)")
+        p.add_argument("--uniform", action="store_true")
+        p.add_argument("--dists")
+        p.add_argument("--sum", type=int, help="queried output (sum task)")
+        p.add_argument("--order", choices=["r2l", "seq", "rev"], default="r2l")
+        p.add_argument("--program", help="logic program file (queries output 1)")
 
     p = sub.add_parser("pwmc", help="weighted model count of a DIMACS CNF")
     p.add_argument("--cnf", required=True, help="DIMACS CNF file, 'w <var> <prob>' lines allowed")
@@ -453,12 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sum)
 
     p = sub.add_parser("approx", help="anytime bounds for one output probability")
-    p.add_argument("--n", type=int, help="digits per summand (sum task)")
-    p.add_argument("--uniform", action="store_true")
-    p.add_argument("--dists")
-    p.add_argument("--sum", type=int, help="queried output (sum task)")
-    p.add_argument("--order", choices=["r2l", "seq", "rev"], default="r2l")
-    p.add_argument("--program", help="logic program file (queries output 1)")
+    query(p)
     p.add_argument(
         "--stop", choices=["eps-mult", "eps-add", "time", "exhaustive"], required=True
     )
@@ -481,27 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_logic)
 
     p = sub.add_parser("gradcheck", help="compare exact gradients to finite differences")
-    p.add_argument("--n", type=int, help="digits per summand (sum task)")
-    p.add_argument("--uniform", action="store_true")
-    p.add_argument("--dists")
-    p.add_argument("--sum", type=int)
-    p.add_argument("--order", choices=["r2l", "seq", "rev"], default="r2l")
-    p.add_argument("--program", help="logic program file (queries output 1)")
+    query(p)
     p.add_argument("--h", type=float, default=1e-6, help="finite-difference step")
     common(p)
     # central differences bottom out around 1e-8 in float64, 1e-9 is unreachable
     p.set_defaults(fn=cmd_gradcheck, tol=1e-6)
-
-    p = sub.add_parser("bench", help="timing table for exact and approximate runs")
-    p.add_argument("--task", choices=["sum", "logic-reach"], required=True)
-    p.add_argument("--n-range", required=True, dest="n_range", help="e.g. 1:4 or 1,2,4")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--eps-add", type=float, default=0.05, dest="eps_add")
-    p.add_argument("--time", type=float, default=0.05)
-    common(p)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

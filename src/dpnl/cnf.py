@@ -138,21 +138,7 @@ def parse_dimacs(text: str) -> tuple[CnfFormula, Optional[WeightMap]]:
                 raise DimacsError(lineno, "negative counts in header")
             continue
         if line.startswith("w"):
-            fields = line.split()
-            if len(fields) != 3:
-                raise DimacsError(lineno, "malformed weight line %r" % line)
-            if num_vars is None:
-                raise DimacsError(lineno, "weight line before header")
-            try:
-                var = int(fields[1])
-                prob = float(fields[2])
-            except ValueError:
-                raise DimacsError(lineno, "malformed weight line %r" % line) from None
-            if not 1 <= var <= num_vars:
-                raise DimacsError(lineno, "weight for variable %d out of range" % var)
-            if not 0.0 <= prob <= 1.0:
-                raise DimacsError(lineno, "weight %r outside [0,1]" % prob)
-            weights[var - 1] = prob
+            _weight_line(lineno, line, num_vars, weights)
             continue
         if num_vars is None:
             raise DimacsError(lineno, "clause before header")
@@ -183,6 +169,39 @@ def parse_dimacs(text: str) -> tuple[CnfFormula, Optional[WeightMap]]:
         return formula, None
     probs = [weights.get(v, 0.5) for v in range(num_vars)]
     return formula, WeightMap(probs)
+
+
+def parse_weights(text: str, num_vars: int) -> WeightMap:
+    """Parse a weights file: ``w <var> <prob>`` lines and ``c`` comments,
+    checked as in ``parse_dimacs``. Unweighted variables default to 0.5."""
+    weights: dict[int, float] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if not line.startswith("w"):
+            raise DimacsError(lineno, "expected a 'w <var> <prob>' line, got %r" % line)
+        _weight_line(lineno, line, num_vars, weights)
+    return WeightMap([weights.get(v, 0.5) for v in range(num_vars)])
+
+
+def _weight_line(lineno: int, line: str, num_vars: Optional[int], weights: dict) -> None:
+    # stores a "w <var> <prob>" line in weights under the 0-based variable
+    fields = line.split()
+    if len(fields) != 3:
+        raise DimacsError(lineno, "malformed weight line %r" % line)
+    if num_vars is None:
+        raise DimacsError(lineno, "weight line before header")
+    try:
+        var = int(fields[1])
+        prob = float(fields[2])
+    except ValueError:
+        raise DimacsError(lineno, "malformed weight line %r" % line) from None
+    if not 1 <= var <= num_vars:
+        raise DimacsError(lineno, "weight for variable %d out of range" % var)
+    if not 0.0 <= prob <= 1.0:
+        raise DimacsError(lineno, "weight %r outside [0,1]" % prob)
+    weights[var - 1] = prob
 
 
 def condition(g: CnfFormula, var: int, value: bool) -> CnfFormula:

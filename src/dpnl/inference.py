@@ -1,8 +1,10 @@
 """Exact output-probability computation by oracle-guided decomposition.
 
-The search recursively conditions on one unassigned variable per node and
-lets the oracle cut branches whose completions are all matches (contributes
-probability 1) or all mismatches (contributes 0). With a valid oracle the
+The search conditions on one unassigned variable per node and lets the
+oracle cut branches whose completions are all matches (contributes
+probability 1) or all mismatches (contributes 0). It is a loop over an
+explicit path of open branches, not a recursion, so the depth of a search is
+bounded by memory rather than by Python's call stack. With a valid oracle the
 returned value is the conditional probability that the symbolic function
 yields the queried output, given the event described by the starting
 valuation.
@@ -91,7 +93,12 @@ def _search(
     the children's node indices in value order; for a leaf k is None and
     ``below`` holds the free indices of a true leaf, nothing for a false
     one. The root comes last. Without ``record``, nothing per node outlives
-    the recursion unless the oracle has a key.
+    its branch unless the oracle has a key.
+
+    The search is a loop over a path of frames, one per open branch. A
+    leaf's or a memo hit's ``(value, index)`` is handed up the path, adding
+    into each frame in value order, until some frame has a child left; a
+    frame whose children are done is finished like a leaf.
     """
     if valuation is None:
         valuation = fresh_valuation(inst.m)
@@ -108,36 +115,8 @@ def _search(
     nodes: list = []
     start = time.perf_counter()
 
-    # returns (value, index of the node's record or -1)
-    def rec(v: Valuation) -> tuple[float, int]:
-        if residual_key is not None:
-            key = residual_key(v, o)
-            hit = memo.get(key)
-            if hit is not None:
-                stats.cache_hits += 1
-                return hit
-        stats.oracle_calls += 1
-        answer = oracle(v, o).answer
-        if answer is None:
-            stats.branch_nodes += 1
-            k = _checked_choice(order, v)
-            below = []
-            value = 0.0
-            for y, p in enumerate(probs[k]):
-                child, index = rec(v.assign(k, y))
-                value += p * child
-                below.append(index)
-        else:
-            k = None
-            below = ()
-            if answer == 1:
-                stats.leaves_true += 1
-                value = 1.0
-                if record:
-                    below = v.free_indices()
-            else:
-                stats.leaves_false += 1
-                value = 0.0
+    # a finished node's (value, index of its record or -1), memoised on its key
+    def finish(value: float, k: Optional[int], below, key) -> tuple[float, int]:
         if record:
             nodes.append((value, k, below))
             result = (value, len(nodes) - 1)
@@ -147,7 +126,47 @@ def _search(
             memo[key] = result
         return result
 
-    value = rec(valuation)[0]
+    # one frame per open branch: [v, key, k, row, value so far, child indices]
+    path: list = []
+    v = valuation
+    key = None
+    while True:
+        result = None
+        if residual_key is not None:
+            key = residual_key(v, o)
+            result = memo.get(key)
+        if result is not None:
+            stats.cache_hits += 1
+        else:
+            stats.oracle_calls += 1
+            answer = oracle(v, o).answer
+            if answer is None:
+                stats.branch_nodes += 1
+                k = _checked_choice(order, v)
+                path.append([v, key, k, probs[k], 0.0, []])
+                v = v.assign(k, 0)
+                continue
+            if answer == 1:
+                stats.leaves_true += 1
+                result = finish(1.0, None, v.free_indices() if record else (), key)
+            else:
+                stats.leaves_false += 1
+                result = finish(0.0, None, (), key)
+        # hand the result up until some frame has a child left
+        while path:
+            frame = path[-1]
+            row, below = frame[3], frame[5]
+            y = len(below)
+            frame[4] += row[y] * result[0]
+            below.append(result[1])
+            if y + 1 < len(row):
+                v = frame[0].assign(frame[2], y + 1)
+                break
+            path.pop()
+            result = finish(frame[4], frame[2], below, frame[1])
+        else:
+            break
+    value = result[0]
     stats.wall_time = time.perf_counter() - start
     return value, stats, nodes
 
@@ -166,7 +185,7 @@ def dpnl(
     ``P(X_k = y) * subtree(y)`` over its domain in ascending value order.
     Sub-problems with equal residual keys are solved once. If the
     conditioning event has probability zero the conditional is
-    mathematically undefined and the plain recursion value is returned as is.
+    mathematically undefined and the plain search value is returned as is.
     """
     value, stats, _ = _search(inst, o, oracle, valuation, order, record=False)
     return value, stats
@@ -195,8 +214,8 @@ def bruteforce_probability(inst: Instance, sfn: SymbolicFunction, o: int) -> flo
     probabilities over every argument tuple the function maps to ``o``.
 
     Full enumeration, no search, no oracle; serves as the independent
-    reference for the recursive computation. Refuses instances with more
-    than ``BRUTEFORCE_TUPLE_LIMIT`` tuples.
+    reference for the search. Refuses instances with more than
+    ``BRUTEFORCE_TUPLE_LIMIT`` tuples.
     """
     n_tuples = 1
     for dom in inst.domains:
@@ -297,7 +316,7 @@ def finite_difference_partials(
 
     Perturbs one table entry at a time by +/- h (without renormalizing) and
     evaluates the enumeration sum at both points. Independent of the
-    recursive gradient, so it serves as its oracle in tests.
+    search's gradient, so it serves as its oracle in tests.
     """
     n_tuples = 1
     for dom in inst.domains:

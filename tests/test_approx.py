@@ -20,6 +20,9 @@ from dpnl import (
     SumInstanceSpec,
     SymbolicFunction,
     TimeBudget,
+    VERDICT_FALSE,
+    VERDICT_TRUE,
+    VERDICT_UNKNOWN,
     approx_dpnl,
     bound_trace,
     build_sum_instance,
@@ -267,6 +270,35 @@ def drift_instance(rng, m):
     return inst, sfn, exact
 
 
+def heavy_leaf_then_dust_instance():
+    """X0 = 0 is a true leaf of mass 0.75. Past it, X1..X42 = 0 are false
+    leaves, and with all of them 1 the oracle waits for the last variable,
+    whose 1,000 values are true leaves of about 0.51 ulp of ``low`` each:
+    adding them to ``low`` with round-to-nearest lifts it past the exact
+    value, so only the outward rounding of ``low`` keeps it sound."""
+    domains = [Domain(2)] * 43 + [Domain(1000)]
+    dists = [DiscreteDistribution([0.75, 0.25])]
+    dists += [DiscreteDistribution([0.5, 0.5])] * 42 + [DiscreteDistribution.uniform(1000)]
+    inst = Instance(domains, dists, Domain(2))
+
+    def fn(v, o):
+        cells = v.cells
+        for k, c in enumerate(cells):
+            if c is None:
+                return VERDICT_UNKNOWN
+            if c == 0 and k < 43:
+                return VERDICT_TRUE if (k == 0) == (o == 1) else VERDICT_FALSE
+        return VERDICT_TRUE if o == 1 else VERDICT_FALSE
+
+    tail = Fraction(1)
+    for d in dists[1:43]:
+        tail *= Fraction(d.probs[1])
+    exact = Fraction(dists[0].probs[0]) + Fraction(dists[0].probs[1]) * tail * sum(
+        Fraction(p) for p in dists[43].probs
+    )
+    return inst, Oracle(fn), exact
+
+
 def test_bounds_certified_in_floating_point():
     # rounded mass products and running sums put uncorrected bounds a few
     # ulp on the wrong side of the exact value
@@ -282,6 +314,13 @@ def test_bounds_certified_in_floating_point():
                         for snap in snaps:
                             assert Fraction(snap.bounds.low) <= exact[o] <= Fraction(snap.bounds.up)
                         assert snaps[-1].bounds.gap <= 1e-12
+    inst, oracle, exact = heavy_leaf_then_dust_instance()
+    for heuristic in (MaxProbability(), Fifo()):
+        snaps = []
+        approx_dpnl(inst, 1, oracle, Exhaustive(), heuristic, trace=snaps)
+        for snap in snaps:
+            assert Fraction(snap.bounds.low) <= exact <= Fraction(snap.bounds.up)
+        assert snaps[-1].bounds.gap <= 1e-12
 
 
 def test_max_probability_reprioritises_merged_entries():

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import pytest
@@ -60,6 +59,11 @@ def test_pwmc_weights_file(cnf_file, tmp_path, capsys):
     wpath.write_text("w 1 0.5\nw 2 0.5\n")
     assert main(["pwmc", "--cnf", cnf_file, "--weights", str(wpath), "--brute"]) == 0
     assert "pwmc = 0.75" in capsys.readouterr().out
+    # checked like the weight lines of a DIMACS file, with line numbers
+    for text in ("c weights\nw 2 1.5\n", "c weights\n2 0.5\n"):
+        wpath.write_text(text)
+        assert main(["pwmc", "--cnf", cnf_file, "--weights", str(wpath)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_cross_check_exit_codes(capsys):
@@ -240,38 +244,3 @@ def test_gradcheck_program(program_file, capsys):
     assert main(["gradcheck", "--program", program_file]) == 0
     rel = float(capsys.readouterr().out.split("max_rel_err = ")[1].split()[0])
     assert rel <= 1e-6
-
-
-def test_bench_csv_round_trip(tmp_path, capsys):
-    out_path = tmp_path / "bench.csv"
-    assert main(
-        [
-            "bench", "--task", "sum", "--n-range", "1:2", "--repeats", "2",
-            "--out", str(out_path),
-        ]
-    ) == 0
-    with open(out_path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert set(rows[0].keys()) == {
-        "task", "size", "policy", "mean_time_s", "std_time_s", "mean_nodes",
-        "provenance_clauses",
-    }
-    sizes = {row["size"] for row in rows}
-    assert sizes == {"1", "2"}
-    policies = {row["policy"] for row in rows}
-    assert "exact" in policies
-
-
-def test_bench_logic_reach_includes_provenance(tmp_path):
-    out_path = tmp_path / "bench.csv"
-    assert main(
-        [
-            "bench", "--task", "logic-reach", "--n-range", "3:4", "--repeats", "1",
-            "--out", str(out_path),
-        ]
-    ) == 0
-    with open(out_path) as fh:
-        rows = list(csv.DictReader(fh))
-    by_size = {row["size"]: row for row in rows if row["policy"] == "exact"}
-    assert by_size["3"]["provenance_clauses"] == "2"
-    assert by_size["4"]["provenance_clauses"] == "5"

@@ -344,6 +344,24 @@ def test_deep_chain_oracle_walk():
     assert entails(det + facts, "a%d" % m)
 
 
+def test_deep_chain_search_needs_no_call_stack():
+    """A 1,500-fact chain is 1,500 branch levels deep, past Python's default
+    recursion limit; the query succeeds iff every fact is present."""
+    m = 1500
+    rng = random.Random(1500)
+    probs = [rng.uniform(0.99, 0.999) for _ in range(m)]
+    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
+    prog = HornProgram(det, [(p, "f%d" % k, []) for k, p in enumerate(probs)], "a%d" % m)
+    value, _ = success_probability(prog)
+    assert math.isclose(value, math.prod(probs), rel_tol=1e-12, abs_tol=0.0)
+    inst, _, oracle = logic_instance(prog)
+    grad, _ = dpnl_gradient(inst, 1, oracle, order=applicable_rule_order(prog))
+    for k in range(m):
+        others = math.prod(probs[:k]) * math.prod(probs[k + 1:])
+        assert math.isclose(grad.partials[k][1], others, rel_tol=1e-12, abs_tol=0.0), k
+        assert grad.partials[k][0] == 0.0, k
+
+
 # ---------------------------------------------------------------------------
 # program text format
 
