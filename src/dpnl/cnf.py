@@ -123,10 +123,10 @@ def parse_dimacs(text: str) -> tuple[CnfFormula, Optional[WeightMap]]:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
+        fields = line.split()
+        if fields[0] == "p":
             if num_vars is not None:
                 raise DimacsError(lineno, "duplicate problem header")
-            fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise DimacsError(lineno, "malformed header %r" % line)
             try:
@@ -137,15 +137,15 @@ def parse_dimacs(text: str) -> tuple[CnfFormula, Optional[WeightMap]]:
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError(lineno, "negative counts in header")
             continue
-        if line.startswith("w"):
+        if fields[0] == "w":
             _weight_line(lineno, line, num_vars, weights)
             continue
+        try:
+            tokens = [int(tok) for tok in fields]
+        except ValueError:
+            raise DimacsError(lineno, "non-integer token in clause line %r" % line) from None
         if num_vars is None:
             raise DimacsError(lineno, "clause before header")
-        try:
-            tokens = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise DimacsError(lineno, "non-integer token in clause") from None
         for tok in tokens:
             if tok == 0:
                 clauses.append(current)
@@ -179,7 +179,7 @@ def parse_weights(text: str, num_vars: int) -> WeightMap:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if not line.startswith("w"):
+        if line.split()[0] != "w":
             raise DimacsError(lineno, "expected a 'w <var> <prob>' line, got %r" % line)
         _weight_line(lineno, line, num_vars, weights)
     return WeightMap([weights.get(v, 0.5) for v in range(num_vars)])
@@ -268,32 +268,45 @@ def probdpll(
 
     ``branch`` is "occurrence" (most occurrences, the usual DPLL default) or
     "fixed" (lowest variable index) for order-sensitive tests. No unit
-    propagation or pure-literal elimination: the plain recursion is the
-    reference behaviour that the tests pin down.
+    propagation or pure-literal elimination: plain splitting is the
+    reference behaviour that the tests pin down. The splits are walked on
+    an explicit path of frames (variable, value of the X=1 branch once
+    known, formula), so a deep but easy formula needs no call stack.
     """
     if len(sigma) < g.num_vars:
         raise ValueError("weight map covers %d of %d variables" % (len(sigma), g.num_vars))
     if branch not in ("occurrence", "fixed"):
         raise ValueError("unknown branch rule %r" % branch)
-
-    def rec(f: CnfFormula) -> float:
-        if stats is not None:
-            stats.oracle_calls += 1
+    if stats is None:
+        stats = QueryStats()
+    path: list[list] = []
+    f = g
+    while True:
+        stats.oracle_calls += 1
         if f.is_empty:
-            if stats is not None:
-                stats.leaves_true += 1
-            return 1.0
-        if f.has_empty_clause:
-            if stats is not None:
-                stats.leaves_false += 1
-            return 0.0
-        if stats is not None:
+            stats.leaves_true += 1
+            value = 1.0
+        elif f.has_empty_clause:
+            stats.leaves_false += 1
+            value = 0.0
+        else:
             stats.branch_nodes += 1
-        var = _pick_branch_variable(f, branch)
-        p = sigma[var]
-        return p * rec(condition(f, var, True)) + (1.0 - p) * rec(condition(f, var, False))
-
-    return rec(g)
+            var = _pick_branch_variable(f, branch)
+            path.append([var, None, f])
+            f = condition(f, var, True)
+            continue
+        # hand the value up until some frame still has its X=0 branch to run
+        while path:
+            frame = path[-1]
+            if frame[1] is None:
+                frame[1] = value
+                f = condition(frame[2], frame[0], False)
+                break
+            path.pop()
+            p = sigma[frame[0]]
+            value = p * frame[1] + (1.0 - p) * value
+        else:
+            return value
 
 
 def pwmc_bruteforce(g: CnfFormula, sigma: WeightMap) -> float:

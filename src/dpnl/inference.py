@@ -71,6 +71,8 @@ class CustomOrder(VariableOrder):
 
 def _checked_choice(order: VariableOrder, v: Valuation) -> int:
     k = order.choose(v)
+    if not 0 <= k < len(v.cells):
+        raise InvalidInstanceError("order chose index %d outside 0..%d" % (k, len(v.cells) - 1))
     if v.cells[k] is not None:
         raise InvalidInstanceError("order chose assigned index %d" % k)
     return k

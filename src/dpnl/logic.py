@@ -25,16 +25,13 @@ from .core import (
     InvalidInstanceError,
     OracleVerdict,
     QueryStats,
-    SizeLimitError,
     Valuation,
     VERDICT_FALSE,
     VERDICT_TRUE,
     VERDICT_UNKNOWN,
 )
-from .inference import CustomOrder, VariableOrder, dpnl
+from .inference import CustomOrder, VariableOrder, bruteforce_probability, dpnl
 from .oracle import Oracle, SymbolicFunction
-
-ENUMERATION_LIMIT = 2**20
 
 
 class ProgramError(ValueError):
@@ -156,6 +153,9 @@ class _Solver:
     valuations in C; otherwise the cost is the work of the undone and the
     new levels.
 
+    The oracle's answer (``verdict``) and the variable order (``choose``)
+    are read from this state: the derived atoms and the missing counts.
+
     The state is mutable and shared by everything built on one program: its
     oracle, its variable order and its ``SymbolicFunction``. Interleaved
     calls are safe, because each call commits its own valuation before it
@@ -167,24 +167,22 @@ class _Solver:
         self.num_det = num_det
         rules = list(prog.det_rules) + list(prog.prob_rules)
         self.heads = [h for h, _ in rules]
-        self.bodies = [b for _, b in rules]
         self.query = prog.query
-        self.prob_bodies = [b for _, b in prog.prob_rules]
         self.prob_ids = range(num_det, len(rules))
         watchers: list[list[int]] = [[] for _ in range(prog.num_atoms)]
-        for r, body in enumerate(self.bodies):
+        for r, (_, body) in enumerate(rules):
             for a in body:
                 watchers[a].append(r)
         self.watchers = watchers
         self.derived = bytearray(prog.num_atoms)
-        self.missing = [len(b) for b in self.bodies]
+        self.missing = [len(b) for _, b in rules]
         self.enabled = bytearray(len(rules))
         self.trail: list[int] = []
         self.level_rules: list[int] = []  # probabilistic rule of each level
         self.level_starts: list[int] = []  # trail length when it was enabled
         self.level_of = [0] * prog.m  # level of each committed rule
         self.cells: tuple = (None,) * prog.m  # the committed valuation
-        # see entails_optimistic
+        # see verdict
         self.certificate: Optional[list[int]] = None
         self._enable(range(num_det))
 
@@ -275,27 +273,38 @@ class _Solver:
     def entails_committed(self, cells: Sequence) -> bool:
         return bool(self.committed_fixpoint(cells)[self.query])
 
-    def entails_optimistic(self, cells: tuple) -> bool:
-        """Whether the rules not assigned 0 derive the query.
+    def verdict(self, cells: tuple) -> Optional[int]:
+        """1 once the committed rules (assigned 1) derive the query, 0 once
+        the optimistic ones (not assigned 0) cannot, None otherwise; both
+        decisions are sound by monotonicity.
 
-        The unassigned rules are enabled on top of the committed state, the
-        query is read, and the trail is undone to where it was. A run that
+        The optimistic run enables the unassigned rules on top of the
+        committed state, reads the query and undoes the trail. A run that
         derives the query leaves a certificate: the probabilistic rules not
-        assigned 0 whose heads it derived. Every rule that fired is among
-        them, so with the deterministic rules they derive the query; while
-        none of them is assigned 0, the answer is yes by monotonicity,
-        without propagation.
+        assigned 0 whose heads it derived. They include every rule that
+        fired, so while none of them is assigned 0 the optimistic answer is
+        yes without propagation.
+
+        A call costs the change of the committed rules since the previous
+        call, plus one optimistic run and its undo when those fail and the
+        certificate does not hold. A chain ``a_{k+1} :- a_k, f_k`` of m facts
+        is therefore still O(m^2) per search, with a small constant: the
+        ``f_k = 0`` child at depth k enables the m - k - 1 unassigned facts.
         """
+        self._commit(cells)
+        derived = self.derived
+        query = self.query
+        if derived[query]:
+            return 1
+        if None not in cells:
+            return 0
         cert = self.certificate
         if cert is not None and 0 not in map(cells.__getitem__, cert):
-            return True
-        derived = self.committed_fixpoint(cells)
-        if derived[self.query]:
-            return True
+            return None
         t = len(self.trail)
         free = list(compress(self.prob_ids, map(is_, cells, repeat(None))))
         self._enable(free)
-        found = bool(derived[self.query])
+        found = derived[query]
         if found:
             num_det = self.num_det
             heads = self.heads
@@ -307,7 +316,38 @@ class _Solver:
         enabled = self.enabled
         for r in free:
             enabled[r] = 0
-        return found
+        return None if found else 0
+
+    def choose(self, cells: tuple) -> int:
+        """The order of ``applicable_rule_order``, read from the missing
+        counts of the committed state: a body is derived when it misses
+        nothing, and a consumer of an underived head h has every other body
+        atom derived when it misses one (h itself; bodies hold no
+        duplicates)."""
+        self._commit(cells)
+        derived = self.derived
+        missing = self.missing
+        heads = self.heads
+        watchers = self.watchers
+        num_det = self.num_det
+        live = None
+        for r in compress(count(num_det), map(is_, cells, repeat(None))):
+            h = heads[r]
+            if derived[h] or missing[r]:
+                continue
+            if h == self.query:
+                return r - num_det
+            for c in watchers[h]:
+                if not derived[heads[c]]:
+                    if missing[c] == 1:
+                        return r - num_det
+                    if live is None:
+                        live = r - num_det
+        if live is not None:
+            return live
+        if None not in cells:
+            raise InvalidInstanceError("no unassigned variable to choose")
+        return cells.index(None)
 
 
 def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> bool:
@@ -321,38 +361,17 @@ def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> 
 
 
 def logic_oracle(prog: HornProgram) -> Oracle:
-    """Valid and complete oracle for the program's query function.
-
-    For an output of 1: certain once the committed rules (assigned 1) entail
-    the query, impossible once even the optimistic set (assigned 1 plus
-    unassigned) fails to entail it, undecided otherwise; the answer is
-    inverted for an output of 0. Monotonicity of Horn logic makes both
-    decisions sound.
-
-    A call costs the change of the committed rules since the previous call
-    on the program's solver, plus, when the committed rules fail and the
-    last certificate does not hold, one propagation of the unassigned rules
-    on top of them and its undo. A chain ``a_{k+1} :- a_k, f_k`` of m facts
-    is therefore still O(m^2) per search, with a small constant: the
-    ``f_k = 0`` child at depth k enables the m - k - 1 unassigned facts.
-    """
+    """Valid and complete oracle for the program's query function: the
+    solver's ``verdict`` for an output of 1, inverted for an output of 0."""
     solver = prog.solver()
 
     def query(v: Valuation, o: int) -> OracleVerdict:
         if o not in (0, 1):
             raise InvalidInstanceError("query output must be 0 or 1, got %r" % (o,))
-        cells = v.cells
-        if solver.entails_committed(cells):
-            res = 1
-        elif None not in cells:
-            res = 0
-        else:
-            res = None if solver.entails_optimistic(cells) else 0
+        res = solver.verdict(v.cells)
         if res is None:
             return VERDICT_UNKNOWN
-        if o == 0:
-            res = 1 - res
-        return VERDICT_TRUE if res == 1 else VERDICT_FALSE
+        return VERDICT_TRUE if res == o else VERDICT_FALSE
 
     return Oracle(query, name="horn")
 
@@ -368,46 +387,11 @@ def applicable_rule_order(prog: HornProgram) -> VariableOrder:
     programs these are the frontier edges: edges from reached nodes into
     unreached ones, and on a chain the next link. Failing that, the first
     rule that can still matter is taken (body derived, head underived, some
-    consumer's head underived), then the first unassigned index.
+    consumer's head underived), then the first unassigned index. The tiers
+    are read from the solver's counters (``_Solver.choose``).
     """
     solver = prog.solver()
-    num_det = solver.num_det
-    heads = solver.heads
-    bodies = solver.bodies
-    watchers = solver.watchers
-    query = solver.query
-    prob_heads = heads[num_det:]
-    prob_bodies = solver.prob_bodies
-
-    def choose(v: Valuation) -> int:
-        cells = v.cells
-        derived = solver.committed_fixpoint(cells)
-        fallback = None
-        live = None
-        for k, c in enumerate(cells):
-            if c is not None:
-                continue
-            if fallback is None:
-                fallback = k
-            h = prob_heads[k]
-            if derived[h] or not all(derived[a] for a in prob_bodies[k]):
-                continue
-            if h == query:
-                return k
-            for r in watchers[h]:
-                if derived[heads[r]]:
-                    continue
-                if all(derived[a] or a == h for a in bodies[r]):
-                    return k
-                if live is None:
-                    live = k
-        if live is not None:
-            return live
-        if fallback is None:
-            raise InvalidInstanceError("no unassigned variable to choose")
-        return fallback
-
-    return CustomOrder(choose)
+    return CustomOrder(lambda v: solver.choose(v.cells))
 
 
 def logic_instance(prog: HornProgram) -> tuple[Instance, SymbolicFunction, Oracle]:
@@ -447,23 +431,14 @@ def success_probability_bruteforce(prog: HornProgram) -> float:
     """Definitional success probability: sum over all rule subsets that
     entail the query of the product of presence/absence probabilities.
 
-    Enumerates 2^m subsets; refuses programs beyond ``ENUMERATION_LIMIT``.
-    Independent of the oracle-guided search.
+    ``bruteforce_probability`` on the program's instance, independent of the
+    oracle-guided search. It enumerates 2^m subsets and refuses programs
+    beyond ``BRUTEFORCE_TUPLE_LIMIT`` tuples (m <= 23).
     """
-    m = prog.m
-    if 2**m > ENUMERATION_LIMIT:
-        raise SizeLimitError("enumeration refuses 2^%d subsets" % m)
-    solver = prog.solver()
-    probs = prog.probs
-    total = 0.0
-    for mask in range(2**m):
-        cells = tuple((mask >> k) & 1 for k in range(m))
-        w = 1.0
-        for k, p in enumerate(probs):
-            w *= p if cells[k] else 1.0 - p
-        if w != 0.0 and solver.entails_committed(cells):
-            total += w
-    return total
+    if prog.m == 0:
+        return 1.0 if prog.solver().entails_committed(()) else 0.0
+    inst, sfn, _ = logic_instance(prog)
+    return bruteforce_probability(inst, sfn, 1)
 
 
 # ---------------------------------------------------------------------------

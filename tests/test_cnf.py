@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from dpnl import (
     probdpll,
     pwmc_bruteforce,
 )
+from dpnl.cnf import parse_weights
 from conftest import random_cnf
 
 # unsatisfiable five-clause formula over A=1, B=2, C=3
@@ -59,6 +61,16 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("p cnf 2 2\n1 0\n")  # clause count mismatch
     with pytest.raises(DimacsError):
         parse_dimacs("1 0\n")  # clause before header
+    # lines are told apart by their first token, not their first character
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("pxyz cnf 2 1\n1 2 0\nweight 1 0.3\n")
+    assert err.value.line == 1
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 2 1\n1 2 0\nweight 1 0.3\n")
+    assert err.value.line == 3
+    with pytest.raises(DimacsError) as err:
+        parse_weights("c weights\nwhat 1 0.25\n", 2)
+    assert err.value.line == 2
 
 
 def test_construction_cleans_clauses():
@@ -177,3 +189,18 @@ def test_prob_of_dnf_matches_enumeration():
             if any(all(bits[abs(l) - 1] == (1 if l > 0 else 0) for l in c) for c in clauses):
                 expected += w
         assert abs(prob_of_dnf(clauses, sigma, num_vars=num_vars) - expected) <= 1e-12
+
+
+def test_deep_formulas_need_no_call_stack():
+    """1,500 unit clauses are 1,500 branch levels deep, past Python's default
+    recursion limit, and so is the DNF of one 1,500-literal term."""
+    m = 1500
+    rng = random.Random(1500)
+    sigma = WeightMap([rng.uniform(0.99, 0.999) for _ in range(m)])
+    expected = math.prod(sigma.probs)
+    stats = QueryStats()
+    got = probdpll(CnfFormula(m, [[k + 1] for k in range(m)]), sigma, stats=stats)
+    assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
+    assert (stats.branch_nodes, stats.leaves_true, stats.leaves_false) == (m, 1, m)
+    term = prob_of_dnf([list(range(1, m + 1))], sigma)
+    assert math.isclose(term, expected, rel_tol=0.0, abs_tol=1e-12)

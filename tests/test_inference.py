@@ -139,6 +139,14 @@ def test_order_callback_returning_assigned_index_raises(uniform1):
     bad = CustomOrder(lambda v: 0)
     with pytest.raises(InvalidInstanceError):
         dpnl(inst, 4, oracle, valuation=Valuation([3, None]), order=bad)
+    # indices outside 0..m-1 are rejected by both engines, not read as
+    # Python indices (-1) or left to raise IndexError (m)
+    for k in (inst.m, -1):
+        bad = CustomOrder(lambda v, k=k: k)
+        with pytest.raises(InvalidInstanceError, match="outside"):
+            dpnl(inst, 4, oracle, order=bad)
+        with pytest.raises(InvalidInstanceError, match="outside"):
+            approx_dpnl(inst, 4, oracle, Exhaustive(), MaxProbability(), order=bad)
 
 
 def test_exhaustive_prunes_at_least_as_well_as_naive():

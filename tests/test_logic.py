@@ -150,6 +150,7 @@ def test_deterministic_query_probability_one():
     assert prog.m == 0
     value, _ = success_probability(prog)
     assert value == 1.0
+    assert success_probability_bruteforce(prog) == 1.0
 
 
 def test_reachability_two_nodes():
@@ -255,6 +256,25 @@ def _horn_programs(rng, count, m_max, nodes):
     return progs
 
 
+def _documented_choice(prog, v, derived):
+    """The first free index of the first non-empty tier in
+    ``applicable_rule_order``'s docstring, against the derived atom set."""
+    rules = prog.det_rules + prog.prob_rules
+
+    def tier(k):
+        head, body = prog.prob_rules[k]
+        if head in derived or not all(a in derived for a in body):
+            return 2
+        if head == prog.query:
+            return 0
+        consumers = [b for h, b in rules if head in b and h not in derived]
+        if any(all(a in derived or a == head for a in b) for b in consumers):
+            return 0
+        return 1 if consumers else 2
+
+    return min(v.free_indices(), key=lambda k: (tier(k), k))
+
+
 def test_solver_random_walk_matches_naive_fixpoint():
     """Interleaved queries on one solver state, along a walk that descends
     one cell at a time, backtracks to earlier prefixes, jumps to random
@@ -264,6 +284,7 @@ def test_solver_random_walk_matches_naive_fixpoint():
         m = prog.m
         solver = prog.solver()
         oracle = logic_oracle(prog)
+        order = applicable_rule_order(prog)
         history = [fresh_valuation(m)]
         kinds = set()
         for step in range(240):
@@ -294,6 +315,8 @@ def test_solver_random_walk_matches_naive_fixpoint():
                 lambda: oracle(v, 1).answer == expected,
                 lambda: oracle(v, 0).answer == (None if expected is None else 1 - expected),
             ]
+            if None in v.cells:
+                checks.append(lambda: order.choose(v) == _documented_choice(prog, v, committed))
             rng.shuffle(checks)
             for check in checks:
                 assert check(), (prog, step, v)
