@@ -1,11 +1,12 @@
 """Anytime approximation with certified bounds.
 
 Best-first exploration of the valuation tree keeps a frontier of unresolved
-partial valuations together with their prior mass. Mass of a branch the
-oracle accepts moves into the lower bound; rejected mass comes off the upper
-bound; undecided valuations are expanded one variable at a time. At every
-step the exact value lies in [low, up], and the reported point estimate is
-the geometric mean sqrt(low * up).
+partial valuations together with their prior mass, in one heap ordered by
+the heuristic's rank of that mass. Mass of a branch the oracle accepts moves
+into the lower bound; rejected mass comes off the upper bound; undecided
+valuations are expanded one variable at a time. At every step the exact
+value lies in [low, up], whatever the order, and the reported point
+estimate is the geometric mean sqrt(low * up).
 
 The frontier holds one entry per residual key of the oracle. A child whose
 key is already queued is merged into that entry: the masses add up, and one
@@ -20,12 +21,13 @@ products and sums, so the bounds hold in floating point as well.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from .core import Instance, QueryStats, Valuation, fresh_valuation
 from .inference import SequentialOrder, VariableOrder, _checked_choice
@@ -112,9 +114,15 @@ class _StepLimit(StopPolicy):
 
 
 class ExploreHeuristic:
-    """Frontier discipline: which unresolved valuation to expand next."""
+    """Frontier discipline: which unresolved valuation to expand next.
 
-    def make_frontier(self) -> "_Frontier":
+    ``ranker()`` returns, once per query, a function from an entry's queued
+    mass to its rank; the frontier expands the lowest rank first, ties in
+    push order. The order only decides which mass settles first: the bounds
+    hold under any order.
+    """
+
+    def ranker(self) -> Callable[[float], float]:
         raise NotImplementedError
 
 
@@ -124,141 +132,98 @@ class _Entry:
     ``v`` is the first of them, the one the oracle sees. ``rounds`` bounds
     the roundings behind ``mass``, one per product on any path into it and
     one per merge, so ``mass`` is within a relative ``rounds * 2**-53`` of
-    its exact value (to first order).
+    its exact value (to first order). ``rank`` is its latest heap item's.
     """
 
-    __slots__ = ("v", "key", "mass", "log_mass", "rounds")
+    __slots__ = ("v", "key", "mass", "rounds", "rank")
 
-    def __init__(self, v: Valuation, key: Hashable, mass: float, log_mass: float, rounds: int):
+    def __init__(self, v: Valuation, key: Hashable, mass: float, rounds: int, rank: float):
         self.v = v
         self.key = key
         self.mass = mass
-        self.log_mass = log_mass
         self.rounds = rounds
+        self.rank = rank
 
 
 class _Frontier:
-    """Live entries, at most one per residual key, with their total mass.
+    """Live entries, at most one per residual key, with their total mass,
+    and one heap of (rank, push count, entry) items.
 
-    Subclasses fix the order: ``_push`` queues a new entry, ``_raise`` is
-    told that a queued entry's log-mass grew, and ``_take`` removes and
-    returns the next live entry.
+    A merge that changes an entry's rank pushes it again; the superseded
+    item no longer matches the entry's rank and is dropped when it surfaces.
     """
 
-    def __init__(self):
+    def __init__(self, rank: Callable[[float], float]):
+        self.rank = rank
         self.live: dict[Hashable, _Entry] = {}
         self.mass = 0.0
+        self.heap: list[tuple[float, int, _Entry]] = []
+        self.pushes = itertools.count()
 
     def __len__(self) -> int:
         return len(self.live)
 
-    def add(self, key: Hashable, v: Valuation, mass: float, log_mass: float, rounds: int) -> bool:
+    def add(self, key: Hashable, v: Valuation, mass: float, rounds: int) -> bool:
         """Queue ``v``, or merge its mass into the live entry with the same
         key; returns whether it merged."""
         self.mass += mass
         entry = self.live.get(key)
         if entry is None:
-            entry = self.live[key] = _Entry(v, key, mass, log_mass, rounds)
-            self._push(entry)
+            entry = self.live[key] = _Entry(v, key, mass, rounds, self.rank(mass))
+            heapq.heappush(self.heap, (entry.rank, next(self.pushes), entry))
             return False
-        entry.mass += mass
         entry.rounds = (rounds if rounds > entry.rounds else entry.rounds) + 1
-        log_sum = _log_add(entry.log_mass, log_mass)
-        if log_sum != entry.log_mass:
-            entry.log_mass = log_sum
-            self._raise(entry)
+        merged = entry.mass + mass
+        if merged != entry.mass:
+            entry.mass = merged
+            rank = self.rank(merged)
+            if rank != entry.rank:
+                entry.rank = rank
+                heapq.heappush(self.heap, (rank, next(self.pushes), entry))
         return True
 
     def pop(self) -> _Entry:
-        entry = self._take()
+        while True:
+            rank, _, entry = heapq.heappop(self.heap)
+            if rank == entry.rank:
+                break
         del self.live[entry.key]
+        entry.rank = None  # a leftover item with a repeated draw must not match
         # exactly 0.0 once nothing is queued, whatever the rounding
         self.mass = self.mass - entry.mass if self.live else 0.0
         return entry
 
-    def _push(self, entry: _Entry) -> None:
-        raise NotImplementedError
-
-    def _raise(self, entry: _Entry) -> None:
-        pass
-
-    def _take(self) -> _Entry:
-        raise NotImplementedError
-
-
-class _MaxProbFrontier(_Frontier):
-    # the heap orders on log-mass, so deep low-probability valuations cannot
-    # underflow the ordering, and ties go to the earlier push. A merge pushes
-    # the entry again under its larger log-mass; the superseded item no
-    # longer matches the entry's log-mass and is dropped when it surfaces.
-    def __init__(self):
-        super().__init__()
-        self.heap: list[tuple[float, int, _Entry]] = []
-        self.pushes = 0
-
-    def _push(self, entry):
-        self.pushes += 1
-        heapq.heappush(self.heap, (-entry.log_mass, self.pushes, entry))
-
-    _raise = _push
-
-    def _take(self):
-        while True:
-            neg_log, _, entry = heapq.heappop(self.heap)
-            if -neg_log == entry.log_mass:
-                return entry
-
-
-class _FifoFrontier(_Frontier):
-    # a merged entry keeps its place in the queue
-    def __init__(self):
-        super().__init__()
-        self.queue: deque[_Entry] = deque()
-
-    def _push(self, entry):
-        self.queue.append(entry)
-
-    def _take(self):
-        return self.queue.popleft()
-
-
-class _RandomFrontier(_Frontier):
-    def __init__(self, seed: int):
-        super().__init__()
-        self.rng = random.Random(seed)
-        self.items: list[_Entry] = []
-
-    def _push(self, entry):
-        self.items.append(entry)
-
-    def _take(self):
-        i = self.rng.randrange(len(self.items))
-        self.items[i], self.items[-1] = self.items[-1], self.items[i]
-        return self.items.pop()
-
 
 class MaxProbability(ExploreHeuristic):
-    """Expand the most probable frontier valuation first."""
+    """Expand the most probable frontier valuation first; a merge that
+    raises an entry's mass moves it forward."""
 
-    def make_frontier(self):
-        return _MaxProbFrontier()
+    def ranker(self):
+        return operator.neg
 
 
 class Fifo(ExploreHeuristic):
-    """Expand in insertion order (breadth-first)."""
+    """Expand in insertion order (breadth-first); a merged entry keeps its
+    place."""
 
-    def make_frontier(self):
-        return _FifoFrontier()
+    def ranker(self):
+        return lambda mass: 0
 
 
 class RandomChoice(ExploreHeuristic):
-    """Expand a uniformly random frontier valuation (seeded)."""
+    """Expand in a random order fixed by the seed.
+
+    Each entry draws a uniform rank when it is pushed, and draws again when
+    a merge changes its mass; the lowest rank is expanded first. One seed
+    gives one expansion order.
+    """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def make_frontier(self):
-        return _RandomFrontier(self.seed)
+    def ranker(self):
+        draw = random.Random(self.seed).random
+        return lambda mass: draw()
 
 
 @dataclass(frozen=True)
@@ -268,17 +233,6 @@ class TraceSnapshot:
     iteration: int
     bounds: Bounds
     frontier_mass: float
-
-
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
-
-
-def _log_add(a: float, b: float) -> float:
-    # log(exp(a) + exp(b)) without leaving log space
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a)) if b > -math.inf else a
 
 
 def _valuation_key(v: Valuation, o: int) -> Hashable:
@@ -303,7 +257,8 @@ def approx_dpnl(
 
     Runs the frontier loop until the stop policy fires (checked at the loop
     head only) or the frontier empties; the latter reproduces the exact
-    value. A child whose residual key (``oracle.residual_key``, else its
+    value; the entry whose mass ``heuristic.ranker()`` ranks lowest goes
+    first. A child whose residual key (``oracle.residual_key``, else its
     cells) equals that of a queued entry is merged into it: its mass is
     added to the entry's and no second valuation is queued, which counts as
     a cache hit. Equal keys mean equal conditional values, so one oracle
@@ -319,12 +274,11 @@ def approx_dpnl(
     residual_key = oracle.residual_key or _valuation_key
     stats = QueryStats()
     probs = [d.probs for d in inst.dists]
-    log_probs = [[_log(p) for p in row] for row in probs]
     low = 0.0
     up = 1.0
-    frontier = heuristic.make_frontier()
+    frontier = _Frontier(heuristic.ranker())
     root = fresh_valuation(inst.m)
-    frontier.add(residual_key(root, o), root, 1.0, 0.0, 0)
+    frontier.add(residual_key(root, o), root, 1.0, 0)
     start = time.perf_counter()
     iteration = 0
     if trace is not None:
@@ -337,10 +291,10 @@ def approx_dpnl(
         if answer is None:
             stats.branch_nodes += 1
             k = _checked_choice(order, v)
-            mass, log_mass, rounds = entry.mass, entry.log_mass, entry.rounds + 1
-            for y, (p, log_p) in enumerate(zip(probs[k], log_probs[k])):
+            mass, rounds = entry.mass, entry.rounds + 1
+            for y, p in enumerate(probs[k]):
                 child = v.assign(k, y)
-                if frontier.add(residual_key(child, o), child, mass * p, log_mass + log_p, rounds):
+                if frontier.add(residual_key(child, o), child, mass * p, rounds):
                     stats.cache_hits += 1
         else:
             # shrunk below the exact mass: the margin covers the entry's

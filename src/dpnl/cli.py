@@ -98,7 +98,7 @@ def cmd_pwmc(args) -> int:
         sigma = WeightMap.uniform(formula.num_vars)
     stats = QueryStats()
     start = time.perf_counter()
-    value = probdpll(formula, sigma, branch=args.branch, stats=stats)
+    value = probdpll(formula, sigma, stats=stats)
     stats.wall_time = time.perf_counter() - start
     print("pwmc = %s" % _fmt(value))
     rc = 0
@@ -238,28 +238,25 @@ def cmd_approx(args) -> int:
 
 
 def cmd_logic(args) -> int:
-    rc = 0
     if args.count_provenance:
         if args.nodes is None:
             raise InvalidInstanceError("--count-provenance needs --nodes")
-        n = args.nodes
-        clauses = logic_mod.provenance_clause_count(n)
-        table = [[args.edge_prob] * n for _ in range(n)]
-        prog = logic_mod.reachability_program(n, table, self_loops=args.self_loops)
-        value, stats = logic_mod.success_probability(prog, order=_logic_order(args, prog))
+        clauses = logic_mod.provenance_clause_count(args.nodes)
+        table = [[args.edge_prob] * args.nodes for _ in range(args.nodes)]
+        prog = logic_mod.reachability_program(args.nodes, table, self_loops=args.self_loops)
+    elif args.program:
+        with open(args.program) as fh:
+            prog = logic_mod.parse_program(fh.read())
+    else:
+        raise InvalidInstanceError("need --program or --count-provenance")
+    order = SequentialOrder() if args.order == "seq" else logic_mod.applicable_rule_order(prog)
+    value, stats = logic_mod.success_probability(prog, order=order)
+    if args.count_provenance:
         print("provenance_clauses = %d" % clauses)
         print("branch_nodes = %d" % stats.branch_nodes)
-        print("P(query) = %s" % _fmt(value))
-        report = RunReport("logic", result=value, stats=stats, seed=args.seed)
-        _emit(report, args)
-        return rc
-    if not args.program:
-        raise InvalidInstanceError("need --program or --count-provenance")
-    with open(args.program) as fh:
-        prog = logic_mod.parse_program(fh.read())
-    value, stats = logic_mod.success_probability(prog, order=_logic_order(args, prog))
     print("P(query) = %s" % _fmt(value))
-    if args.brute:
+    rc = 0
+    if args.brute and not args.count_provenance:
         if prog.m > 12:
             raise InvalidInstanceError(
                 "--brute supports at most 12 probabilistic rules, program has %d" % prog.m
@@ -270,12 +267,6 @@ def cmd_logic(args) -> int:
     report = RunReport("logic", result=value, stats=stats, seed=args.seed)
     _emit(report, args)
     return rc
-
-
-def _logic_order(args, prog):
-    if getattr(args, "order", "applicable") == "seq":
-        return SequentialOrder()
-    return logic_mod.applicable_rule_order(prog)
 
 
 def cmd_gradcheck(args) -> int:
@@ -323,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", required=True, help="DIMACS CNF file, 'w <var> <prob>' lines allowed")
     p.add_argument("--weights", help="separate weights file ('w <var> <prob>' lines)")
     p.add_argument("--brute", action="store_true", help="cross-check against enumeration")
-    p.add_argument("--branch", choices=["occurrence", "fixed"], default="occurrence")
     common(p)
     p.set_defaults(fn=cmd_pwmc)
 

@@ -59,10 +59,6 @@ class CnfFormula:
         self.has_empty_clause = has_empty
 
     @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
-    @property
     def is_empty(self) -> bool:
         return not self.clauses
 
@@ -234,16 +230,7 @@ def condition(g: CnfFormula, var: int, value: bool) -> CnfFormula:
     return out
 
 
-def _pick_branch_variable(g: CnfFormula, branch: str) -> int:
-    if branch == "fixed":
-        best = None
-        for clause in g.clauses:
-            for lit in clause:
-                var = abs(lit) - 1
-                if best is None or var < best:
-                    best = var
-        assert best is not None
-        return best
+def _pick_branch_variable(g: CnfFormula) -> int:
     counts: dict[int, int] = {}
     for clause in g.clauses:
         for lit in clause:
@@ -256,27 +243,23 @@ def _pick_branch_variable(g: CnfFormula, branch: str) -> int:
 def probdpll(
     g: CnfFormula,
     sigma: WeightMap,
-    branch: str = "occurrence",
     stats: Optional[QueryStats] = None,
 ) -> float:
     """Exact probabilistic weighted model count by DPLL-style splitting.
 
     Returns 1 with no clauses, 0 on an empty clause, and otherwise splits on
-    an occurring variable X:
+    the occurring variable X with the most occurrences (the usual DPLL
+    default; lowest index on ties):
 
         sigma(X) * count(g | X=1)  +  (1 - sigma(X)) * count(g | X=0)
 
-    ``branch`` is "occurrence" (most occurrences, the usual DPLL default) or
-    "fixed" (lowest variable index) for order-sensitive tests. No unit
-    propagation or pure-literal elimination: plain splitting is the
+    No unit propagation or pure-literal elimination: plain splitting is the
     reference behaviour that the tests pin down. The splits are walked on
     an explicit path of frames (variable, value of the X=1 branch once
     known, formula), so a deep but easy formula needs no call stack.
     """
     if len(sigma) < g.num_vars:
         raise ValueError("weight map covers %d of %d variables" % (len(sigma), g.num_vars))
-    if branch not in ("occurrence", "fixed"):
-        raise ValueError("unknown branch rule %r" % branch)
     if stats is None:
         stats = QueryStats()
     path: list[list] = []
@@ -291,7 +274,7 @@ def probdpll(
             value = 0.0
         else:
             stats.branch_nodes += 1
-            var = _pick_branch_variable(f, branch)
+            var = _pick_branch_variable(f)
             path.append([var, None, f])
             f = condition(f, var, True)
             continue
@@ -344,7 +327,6 @@ def prob_of_dnf(
     dnf_clauses: Iterable[Sequence[int]],
     sigma: WeightMap,
     num_vars: Optional[int] = None,
-    branch: str = "occurrence",
     stats: Optional[QueryStats] = None,
 ) -> float:
     """Probability that a DNF over weighted variables is true.
@@ -357,4 +339,4 @@ def prob_of_dnf(
         num_vars = max((abs(l) for clause in dnf for l in clause), default=0)
     negated = [[-l for l in clause] for clause in dnf]
     g = CnfFormula(num_vars, negated)
-    return 1.0 - probdpll(g, sigma, branch=branch, stats=stats)
+    return 1.0 - probdpll(g, sigma, stats=stats)

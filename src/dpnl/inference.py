@@ -38,10 +38,15 @@ class VariableOrder:
 
 
 class SequentialOrder(VariableOrder):
-    """First unassigned index of a fixed permutation (identity by default)."""
+    """First unassigned index of a fixed permutation of all the variables
+    (identity by default)."""
 
     def __init__(self, permutation: Optional[Sequence[int]] = None):
-        self.permutation = tuple(permutation) if permutation is not None else None
+        if permutation is not None:
+            permutation = tuple(permutation)
+            if sorted(permutation) != list(range(len(permutation))):
+                raise InvalidInstanceError("order %r is not a permutation" % (permutation,))
+        self.permutation = permutation
 
     def choose(self, v: Valuation) -> int:
         cells = v.cells
@@ -50,6 +55,10 @@ class SequentialOrder(VariableOrder):
                 if c is None:
                     return k
         else:
+            if len(self.permutation) != len(cells):
+                raise InvalidInstanceError(
+                    "order permutes %d of %d variables" % (len(self.permutation), len(cells))
+                )
             for k in self.permutation:
                 if cells[k] is None:
                     return k

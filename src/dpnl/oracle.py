@@ -111,23 +111,30 @@ def exhaustive_oracle(sfn: SymbolicFunction, completion_guard: int = COMPLETION_
     more than ``completion_guard`` completions.
     """
     domains = sfn.domains
+    verdicts = {1: VERDICT_TRUE, 0: VERDICT_FALSE, None: VERDICT_UNKNOWN}
 
     def query(v: Valuation, o: int) -> OracleVerdict:
         if completion_count(v, domains) > completion_guard:
             raise SizeLimitError(
                 "exhaustive oracle refuses %d completions" % completion_count(v, domains)
             )
-        agree = disagree = False
-        for w in total_completions(v, domains):
-            if sfn.fn(w.cells) == o:
-                agree = True
-            else:
-                disagree = True
-            if agree and disagree:
-                return VERDICT_UNKNOWN
-        return VERDICT_FALSE if disagree else VERDICT_TRUE
+        return verdicts[_truth(v, o, sfn)]
 
     return Oracle(query, name="exhaustive(%s)" % sfn.name)
+
+
+def _truth(v: Valuation, o: int, sfn: SymbolicFunction) -> Optional[int]:
+    """1 if every total completion of ``v`` maps to ``o``, 0 if none does,
+    None as soon as one completion of each kind has been seen."""
+    agree = disagree = False
+    for w in total_completions(v, sfn.domains):
+        if sfn.fn(w.cells) == o:
+            agree = True
+        else:
+            disagree = True
+        if agree and disagree:
+            return None
+    return 0 if disagree else 1
 
 
 @dataclass
@@ -210,21 +217,16 @@ def _probe(
 def _verify_verdict(
     verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
 ) -> Optional[str]:
-    """Check one verdict against the ground truth; None if fine."""
+    """Check a decided verdict, or any verdict on a total valuation,
+    against the completions; None if fine."""
     answer = verdict.answer
-    if v.is_total:
-        expected = 1 if sfn.fn(v.cells) == o else 0
-        if answer != expected:
-            return "total valuation decided %r, expected %d" % (answer, expected)
+    if answer is None and not v.is_total:
         return None
-    if answer == 1:
-        for w in total_completions(v, sfn.domains):
-            if sfn.fn(w.cells) != o:
-                return "answered 1 but completion %r maps elsewhere" % (w,)
-    elif answer == 0:
-        for w in total_completions(v, sfn.domains):
-            if sfn.fn(w.cells) == o:
-                return "answered 0 but completion %r maps to the output" % (w,)
+    truth = _truth(v, o, sfn)
+    if answer != truth:
+        return "answered %r but the completions say %s" % (
+            answer, "undecided" if truth is None else truth
+        )
     return None
 
 
@@ -234,16 +236,10 @@ def _verify_undecided(
     """Check that an undecided verdict has completions of both kinds; None if fine."""
     if verdict.answer is not None:
         return None
-    has_true = False
-    has_false = False
-    for w in total_completions(v, sfn.domains):
-        if sfn.fn(w.cells) == o:
-            has_true = True
-        else:
-            has_false = True
-        if has_true and has_false:
-            return None
-    return "undecided but all completions %s" % ("agree" if has_true else "disagree")
+    truth = _truth(v, o, sfn)
+    if truth is None:
+        return None
+    return "undecided but all completions %s" % ("agree" if truth == 1 else "disagree")
 
 
 def check_validity(

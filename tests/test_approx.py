@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from dpnl import (
     naive_oracle,
     right_to_left_order,
 )
-from dpnl.approx import _StepLimit
+from dpnl.approx import _Frontier, _StepLimit
 from conftest import random_digit_rows, random_table_instance, table_residual_key
 
 HEURISTICS = [MaxProbability(), Fifo(), RandomChoice(77)]
@@ -324,11 +323,11 @@ def test_bounds_certified_in_floating_point():
 
 
 def test_max_probability_reprioritises_merged_entries():
-    frontier = MaxProbability().make_frontier()
+    frontier = _Frontier(MaxProbability().ranker())
     v = fresh_valuation(2)
     for key, y, mass in (("a", 0, 0.3), ("b", 1, 0.2), ("c", 2, 0.25)):
-        assert not frontier.add(key, v.assign(0, y), mass, math.log(mass), 1)
-    assert frontier.add("b", v.assign(1, 0), 0.2, math.log(0.2), 1)
+        assert not frontier.add(key, v.assign(0, y), mass, 1)
+    assert frontier.add("b", v.assign(1, 0), 0.2, 1)
     assert len(frontier) == 3
     popped = [frontier.pop() for _ in range(3)]
     assert [(e.key, e.v.cells, e.mass) for e in popped] == [
@@ -339,3 +338,54 @@ def test_max_probability_reprioritises_merged_entries():
     # the superseded heap item of "b" is no live entry
     assert len(frontier) == 0
     assert frontier.mass == 0.0
+
+
+def test_fifo_merged_entry_keeps_its_place():
+    frontier = _Frontier(Fifo().ranker())
+    v = fresh_valuation(2)
+    for key, y, mass in (("a", 0, 0.1), ("b", 1, 0.2), ("c", 2, 0.3)):
+        assert not frontier.add(key, v.assign(0, y), mass, 1)
+    assert frontier.add("c", v.assign(1, 0), 0.5, 1)
+    assert frontier.add("a", v.assign(1, 1), 0.25, 1)
+    popped = [frontier.pop() for _ in range(3)]
+    assert [(e.key, e.v.cells, e.mass) for e in popped] == [
+        ("a", (0, None), 0.35),
+        ("b", (1, None), 0.2),
+        ("c", (2, None), 0.8),
+    ]
+    assert len(frontier) == 0 and not frontier.heap
+
+
+def test_random_choice_order_is_seeded_and_pops_each_entry_once():
+    def pop_order(seed):
+        frontier = _Frontier(RandomChoice(seed).ranker())
+        v = fresh_valuation(2)
+        for i in range(40):
+            assert not frontier.add(i, v.assign(0, i % 10), 0.01 * (i + 1), 1)
+        # every merge changes the mass, so every one draws a new rank
+        for i in range(0, 40, 3):
+            assert frontier.add(i, v.assign(1, i % 10), 0.5, 1)
+            assert frontier.add(i, v.assign(1, i % 10), 0.25, 1)
+        assert len(frontier.heap) > len(frontier) == 40
+        popped = []
+        while len(frontier) > 0:
+            popped.append(frontier.pop())
+        assert frontier.mass == 0.0
+        return [(e.key, e.mass) for e in popped]
+
+    order = pop_order(5)
+    assert order == pop_order(5)
+    assert order != pop_order(6)
+    assert sorted(key for key, _ in order) == list(range(40))
+    for key, mass in order:
+        assert mass == (0.01 * (key + 1) + 0.5 + 0.25 if key % 3 == 0 else 0.01 * (key + 1))
+
+
+def test_max_probability_pops_zero_mass_last():
+    frontier = _Frontier(MaxProbability().ranker())
+    v = fresh_valuation(1)
+    for key, mass in (("zero", 0.0), ("tiny", 5e-324), ("big", 0.5), ("small", 1e-300)):
+        frontier.add(key, v.assign(0, len(frontier)), mass, 1)
+    # a merge of nothing leaves the zero-mass entry where it is
+    assert frontier.add("zero", v, 0.0, 1)
+    assert [frontier.pop().key for _ in range(4)] == ["big", "small", "tiny", "zero"]

@@ -126,13 +126,6 @@ def test_probdpll_matches_bruteforce_on_random_formulas():
         assert abs(got - pwmc_bruteforce(g, sigma)) <= 1e-12
 
 
-def test_probdpll_branch_modes_agree():
-    rng = random.Random(5)
-    for _ in range(30):
-        g, sigma = random_cnf(rng, max_vars=8, max_clauses=20)
-        assert abs(probdpll(g, sigma) - probdpll(g, sigma, branch="fixed")) <= 1e-12
-
-
 def test_branch_identity():
     # splitting on any occurring variable preserves the weighted count
     rng = random.Random(23)

@@ -149,6 +149,28 @@ def test_order_callback_returning_assigned_index_raises(uniform1):
             approx_dpnl(inst, 4, oracle, Exhaustive(), MaxProbability(), order=bad)
 
 
+def test_sequential_order_rejects_bad_permutations(uniform1):
+    inst, _, oracle = uniform1
+    # [0] is a permutation, but of one of the two variables; [0, 5] and
+    # [1, 1] are none at all
+    cases = (
+        ([0], "permutes 1 of 2 variables"),
+        ([0, 5], "not a permutation"),
+        ([1, 1], "not a permutation"),
+    )
+    for permutation, match in cases:
+        with pytest.raises(InvalidInstanceError, match=match):
+            dpnl(inst, 3, oracle, order=SequentialOrder(permutation))
+        with pytest.raises(InvalidInstanceError, match=match):
+            order = SequentialOrder(permutation)
+            approx_dpnl(inst, 3, oracle, Exhaustive(), MaxProbability(), order=order)
+    order = SequentialOrder([1, 0])
+    value, _ = dpnl(inst, 3, oracle, order=order)
+    assert abs(value - 0.04) <= 1e-12
+    bounds, _ = approx_dpnl(inst, 3, oracle, Exhaustive(), MaxProbability(), order=order)
+    assert bounds.low <= 0.04 <= bounds.up and bounds.gap <= 1e-12
+
+
 def test_exhaustive_prunes_at_least_as_well_as_naive():
     rng = random.Random(13)
     for _ in range(15):
