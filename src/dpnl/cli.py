@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import approx as approx_mod
@@ -28,53 +27,33 @@ from .sumtask import (
     sum_distribution_reference,
 )
 
-@dataclass
-class RunReport:
-    """One command's outcome; serializes to a fixed JSON schema."""
-
-    command: str
-    result: object = None
-    low: Optional[float] = None
-    up: Optional[float] = None
-    estimate: Optional[float] = None
-    stats: Optional[QueryStats] = None
-    seed: Optional[int] = None
-
-    def to_json_dict(self) -> dict:
-        stats = self.stats
-        return {
-            "command": self.command,
-            "result": self.result,
-            "low": self.low,
-            "up": self.up,
-            "estimate": self.estimate,
-            "oracle_calls": stats.oracle_calls if stats else None,
-            "branch_nodes": stats.branch_nodes if stats else None,
-            "cache_hits": stats.cache_hits if stats else None,
-            "wall_time_s": stats.wall_time if stats else None,
-            "seed": self.seed,
-        }
-
 
 def _fmt(p: float) -> str:
     return "%.12g" % p
 
 
-def _emit(report: RunReport, args) -> None:
-    if getattr(args, "json", None):
+def _emit(args, command: str, result, stats: QueryStats, bounds=None) -> None:
+    """Print the stats line; write the JSON run report if ``--json`` is set."""
+    print(
+        "stats: oracle_calls=%d branch_nodes=%d cache_hits=%d wall_time_s=%.6f"
+        % (stats.oracle_calls, stats.branch_nodes, stats.cache_hits, stats.wall_time)
+    )
+    if args.json:
+        report = {
+            "command": command,
+            "result": result,
+            "low": bounds.low if bounds else None,
+            "up": bounds.up if bounds else None,
+            "estimate": bounds.estimate if bounds else None,
+            "oracle_calls": stats.oracle_calls,
+            "branch_nodes": stats.branch_nodes,
+            "cache_hits": stats.cache_hits,
+            "wall_time_s": stats.wall_time,
+            "seed": getattr(args, "seed", None),
+        }
         with open(args.json, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
-    if report.stats is not None:
-        print(
-            "stats: oracle_calls=%d branch_nodes=%d cache_hits=%d wall_time_s=%.6f"
-            % (
-                report.stats.oracle_calls,
-                report.stats.branch_nodes,
-                report.stats.cache_hits,
-                report.stats.wall_time,
-            )
-        )
 
 
 def _cross_check(name: str, got: float, reference: float, tol: float) -> int:
@@ -104,63 +83,64 @@ def cmd_pwmc(args) -> int:
     rc = 0
     if args.brute:
         rc = _cross_check("brute", value, pwmc_bruteforce(formula, sigma), args.tol)
-    report = RunReport("pwmc", result=value, stats=stats, seed=args.seed)
-    _emit(report, args)
+    _emit(args, "pwmc", value, stats)
     return rc
 
 
-def _sum_spec_from_args(args) -> SumInstanceSpec:
+def _sum_query(args):
+    """Spec, instance, symbolic function, oracle and order of the sum task."""
+    if args.n is None:
+        raise InvalidInstanceError("need --n")
     if args.uniform:
-        return SumInstanceSpec.uniform(args.n)
-    if not args.dists:
+        spec = SumInstanceSpec.uniform(args.n)
+    elif args.dists:
+        text = args.dists
+        if not text.lstrip().startswith("["):
+            with open(text) as fh:
+                text = fh.read()
+        spec = SumInstanceSpec(args.n, parse_dist_rows(json.loads(text)))
+    else:
         raise InvalidInstanceError("need --uniform or --dists")
-    text = args.dists
-    if not text.lstrip().startswith("["):
-        with open(text) as fh:
-            text = fh.read()
-    rows = parse_dist_rows(json.loads(text), n=args.n)
-    return SumInstanceSpec(args.n, rows)
+    inst, sfn, oracle = build_sum_instance(spec)
+    if args.order == "r2l":
+        order = right_to_left_order(spec.n)
+    elif args.order == "seq":
+        order = SequentialOrder()
+    else:
+        order = SequentialOrder(range(2 * spec.n - 1, -1, -1))
+    return spec, inst, sfn, oracle, order
 
 
-def _sum_order(name: str, n: int):
-    if name == "r2l":
-        return right_to_left_order(n)
-    if name == "seq":
-        return SequentialOrder()
-    if name == "rev":
-        return SequentialOrder(list(range(2 * n - 1, -1, -1)))
-    raise InvalidInstanceError("unknown order %r" % name)
+def _read_program(path: str) -> logic_mod.HornProgram:
+    with open(path) as fh:
+        return logic_mod.parse_program(fh.read())
 
 
 def cmd_sum(args) -> int:
-    spec = _sum_spec_from_args(args)
-    inst, _, oracle = build_sum_instance(spec)
-    order = _sum_order(args.order, spec.n)
+    spec, inst, _, oracle, order = _sum_query(args)
     rc = 0
     if args.full:
         dist, stats = output_distribution(inst, oracle, order=order)
+        for o, p in dist.items():
+            print("%d %s" % (o, _fmt(p)))
         total = sum(dist.values())
-        for o in range(inst.output_domain.size):
-            print("%d %s" % (o, _fmt(dist[o])))
         print("total = %s" % _fmt(total))
         if abs(total - 1.0) > args.tol:
             print("distribution does not sum to 1 within tolerance", file=sys.stderr)
             rc = 1
-        report = RunReport(
-            "sum", result=[dist[o] for o in range(inst.output_domain.size)], stats=stats,
-            seed=args.seed,
-        )
+        result = list(dist.values())
     else:
         if args.sum is None:
             raise InvalidInstanceError("need --sum or --full")
-        value, stats = dpnl(inst, args.sum, oracle, order=order)
-        print("P(sum = %d) = %s" % (args.sum, _fmt(value)))
-        if args.brute:
-            rc = _cross_check(
-                "reference", value, sum_distribution_reference(spec)[args.sum], args.tol
-            )
-        report = RunReport("sum", result=value, stats=stats, seed=args.seed)
-    _emit(report, args)
+        result, stats = dpnl(inst, args.sum, oracle, order=order)
+        print("P(sum = %d) = %s" % (args.sum, _fmt(result)))
+        dist = {args.sum: result}
+    if args.brute:
+        # the output whose value is farthest from the convolution reference
+        ref = sum_distribution_reference(spec)
+        o = max(dist, key=lambda o: abs(dist[o] - ref[o]))
+        rc = max(rc, _cross_check("reference P(sum = %d)" % o, dist[o], ref[o], args.tol))
+    _emit(args, "sum", result, stats)
     return rc
 
 
@@ -168,13 +148,10 @@ def _query_from_args(args):
     """Instance, symbolic function, oracle, order and queried output: the
     ``--program`` file's query (output 1), else the sum task's ``--sum``."""
     if args.program:
-        with open(args.program) as fh:
-            prog = logic_mod.parse_program(fh.read())
+        prog = _read_program(args.program)
         inst, sfn, oracle = logic_mod.logic_instance(prog)
         return inst, sfn, oracle, logic_mod.applicable_rule_order(prog), 1
-    spec = _sum_spec_from_args(args)
-    inst, sfn, oracle = build_sum_instance(spec)
-    order = _sum_order(args.order, spec.n)
+    _, inst, sfn, oracle, order = _sum_query(args)
     if args.sum is None:
         raise InvalidInstanceError("need --sum")
     return inst, sfn, oracle, order, args.sum
@@ -224,16 +201,7 @@ def cmd_approx(args) -> int:
     print("low = %s" % _fmt(bounds.low))
     print("up = %s" % _fmt(bounds.up))
     print("estimate = %s" % _fmt(bounds.estimate))
-    report = RunReport(
-        "approx",
-        result=bounds.estimate,
-        low=bounds.low,
-        up=bounds.up,
-        estimate=bounds.estimate,
-        stats=stats,
-        seed=args.seed,
-    )
-    _emit(report, args)
+    _emit(args, "approx", bounds.estimate, stats, bounds)
     return 0
 
 
@@ -245,8 +213,7 @@ def cmd_logic(args) -> int:
         table = [[args.edge_prob] * args.nodes for _ in range(args.nodes)]
         prog = logic_mod.reachability_program(args.nodes, table, self_loops=args.self_loops)
     elif args.program:
-        with open(args.program) as fh:
-            prog = logic_mod.parse_program(fh.read())
+        prog = _read_program(args.program)
     else:
         raise InvalidInstanceError("need --program or --count-provenance")
     order = SequentialOrder() if args.order == "seq" else logic_mod.applicable_rule_order(prog)
@@ -264,8 +231,7 @@ def cmd_logic(args) -> int:
         rc = _cross_check(
             "brute", value, logic_mod.success_probability_bruteforce(prog), args.tol
         )
-    report = RunReport("logic", result=value, stats=stats, seed=args.seed)
-    _emit(report, args)
+    _emit(args, "logic", value, stats)
     return rc
 
 
@@ -284,8 +250,7 @@ def cmd_gradcheck(args) -> int:
     if max_rel > args.tol:
         print("gradient check FAILED", file=sys.stderr)
         rc = 1
-    report = RunReport("gradcheck", result=max_rel, stats=stats, seed=args.seed)
-    _emit(report, args)
+    _emit(args, "gradcheck", max_rel, stats)
     return rc
 
 
@@ -297,50 +262,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help, tol=1e-9):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--json", help="write the JSON run report to this file")
-        p.add_argument("--tol", type=float, default=1e-9, help="cross-check tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="cross-check tolerance")
+        p.set_defaults(fn=fn)
+        return p
 
-    def query(p):
-        p.add_argument("--n", type=int, help="digits per summand (sum task)")
-        p.add_argument("--uniform", action="store_true")
-        p.add_argument("--dists")
-        p.add_argument("--sum", type=int, help="queried output (sum task)")
+    def sum_options(p):
+        p.add_argument("--n", type=int, help="digits per summand")
+        p.add_argument("--uniform", action="store_true", help="uniform digit distributions")
+        p.add_argument("--dists", help="JSON (inline or file): 2N rows of 10 probabilities")
+        p.add_argument("--sum", type=int, help="query this output value")
         p.add_argument("--order", choices=["r2l", "seq", "rev"], default="r2l")
-        p.add_argument("--program", help="logic program file (queries output 1)")
 
-    p = sub.add_parser("pwmc", help="weighted model count of a DIMACS CNF")
+    p = command("pwmc", cmd_pwmc, "weighted model count of a DIMACS CNF")
     p.add_argument("--cnf", required=True, help="DIMACS CNF file, 'w <var> <prob>' lines allowed")
     p.add_argument("--weights", help="separate weights file ('w <var> <prob>' lines)")
     p.add_argument("--brute", action="store_true", help="cross-check against enumeration")
-    common(p)
-    p.set_defaults(fn=cmd_pwmc)
 
-    p = sub.add_parser("sum", help="digit-sum task probabilities")
-    p.add_argument("--n", type=int, required=True, help="digits per summand")
-    p.add_argument("--uniform", action="store_true", help="uniform digit distributions")
-    p.add_argument("--dists", help="JSON (inline or file): 2N rows of 10 probabilities")
-    p.add_argument("--sum", type=int, help="query this output value")
+    p = command("sum", cmd_sum, "digit-sum task probabilities")
+    sum_options(p)
     p.add_argument("--full", action="store_true", help="whole output distribution")
-    p.add_argument("--order", choices=["r2l", "seq", "rev"], default="r2l")
     p.add_argument("--brute", action="store_true", help="cross-check against the convolution reference")
-    common(p)
-    p.set_defaults(fn=cmd_sum)
 
-    p = sub.add_parser("approx", help="anytime bounds for one output probability")
-    query(p)
+    p = command("approx", cmd_approx, "anytime bounds for one output probability", tol=None)
+    sum_options(p)
+    p.add_argument("--program", help="logic program file (queries output 1)")
     p.add_argument(
         "--stop", choices=["eps-mult", "eps-add", "time", "exhaustive"], required=True
     )
     p.add_argument("--eps", type=float, help="epsilon for eps-mult / eps-add")
     p.add_argument("--time", type=float, help="seconds for the time stop")
     p.add_argument("--heuristic", choices=["maxprob", "fifo", "random"], default="maxprob")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random heuristic")
     p.add_argument("--trace", help="write per-iteration bounds as JSON lines")
-    common(p)
-    p.set_defaults(fn=cmd_approx)
 
-    p = sub.add_parser("logic", help="query success probability of a Horn program")
+    p = command("logic", cmd_logic, "query success probability of a Horn program")
     p.add_argument("--program", help="program file")
     p.add_argument("--brute", action="store_true", help="cross-check against subset enumeration")
     p.add_argument("--order", choices=["applicable", "seq"], default="applicable")
@@ -348,15 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, help="complete-graph size for --count-provenance")
     p.add_argument("--edge-prob", type=float, default=0.5, dest="edge_prob")
     p.add_argument("--self-loops", action="store_true", dest="self_loops")
-    common(p)
-    p.set_defaults(fn=cmd_logic)
 
-    p = sub.add_parser("gradcheck", help="compare exact gradients to finite differences")
-    query(p)
-    p.add_argument("--h", type=float, default=1e-6, help="finite-difference step")
-    common(p)
     # central differences bottom out around 1e-8 in float64, 1e-9 is unreachable
-    p.set_defaults(fn=cmd_gradcheck, tol=1e-6)
+    p = command(
+        "gradcheck", cmd_gradcheck, "compare exact gradients to finite differences", tol=1e-6
+    )
+    sum_options(p)
+    p.add_argument("--program", help="logic program file (queries output 1)")
+    p.add_argument("--h", type=float, default=1e-6, help="finite-difference step")
 
     return parser
 

@@ -304,8 +304,6 @@ def pwmc_bruteforce(g: CnfFormula, sigma: WeightMap) -> float:
         raise SizeLimitError("brute force refuses %d > %d variables" % (n, BRUTEFORCE_VAR_LIMIT))
     if len(sigma) < n:
         raise ValueError("weight map covers %d of %d variables" % (len(sigma), n))
-    if n == 0:
-        return 0.0 if g.has_empty_clause else 1.0
     count = 1 << n
     idx = np.arange(count, dtype=np.uint32)
     weights = np.ones(count, dtype=np.float64)

@@ -119,9 +119,6 @@ def total_completions(v: Valuation, domains: Sequence[Domain]) -> Iterator[Valua
             "valuation length %d does not match %d domains" % (len(v), len(domains))
         )
     free = v.free_indices()
-    if not free:
-        yield v
-        return
     # itertools.product varies its last axis fastest, so feed the free cells
     # reversed and un-reverse each combination.
     axes = [range(domains[k].size) for k in reversed(free)]

@@ -280,13 +280,12 @@ def dpnl_gradient(
     ``partials[k][y]`` its adjoint times child y's value and passes its
     adjoint times ``P(X_k = y)`` down to that child. A true leaf still
     depends on its free variables' entries, because its polynomial is the
-    product of their table sums; those partials come from prefix/suffix
-    products of the sums.
+    product of their table sums; every row is normalised, so each free
+    variable's entries get the leaf's adjoint.
     """
     value, stats, nodes = _search(inst, o, oracle, valuation, order, record=True)
     start = time.perf_counter()
     probs = [d.probs for d in inst.dists]
-    masses = [sum(row) for row in probs]
     partials = [[0.0] * len(row) for row in probs]
     adjoint = [0.0] * len(nodes)
     adjoint[-1] = 1.0
@@ -299,20 +298,11 @@ def dpnl_gradient(
             for y, child in enumerate(below):
                 grad_row[y] += weight * nodes[child][0]
                 adjoint[child] += weight * row[y]
-        elif below:
-            free = below
-            # prefix[i] = prod of masses[free[:i]], suffix[i] = prod of masses[free[i:]]
-            prefix = [1.0] * (len(free) + 1)
-            for i, k in enumerate(free):
-                prefix[i + 1] = prefix[i] * masses[k]
-            suffix = [1.0] * (len(free) + 1)
-            for i in range(len(free) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] * masses[free[i]]
-            for i, k in enumerate(free):
-                coeff = weight * prefix[i] * suffix[i + 1]
+        else:
+            for k in below:
                 grad_row = partials[k]
                 for y in range(len(grad_row)):
-                    grad_row[y] += coeff
+                    grad_row[y] += weight
     stats.wall_time += time.perf_counter() - start
     return GradientResult(value, partials), stats
 

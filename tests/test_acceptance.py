@@ -2,10 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the PASS
 lines on the terminal). Criterion 7b asserts a property that the
-implemented search does not have: without residual caching its tree on
-complete-graph reachability grows faster than the proof count. It fails
-with the measured counts rather than being weakened (details in the failure
-message).
+implemented search does not have: the Horn oracle has no residual key, so
+its tree on complete-graph reachability grows faster than the proof count.
+It fails with the measured counts rather than being weakened (details in
+the failure message).
 """
 
 import random
@@ -268,10 +268,10 @@ def test_c07a_provenance_counts():
 def test_c07b_search_growth_versus_provenance():
     # Literal criterion: branch nodes on complete-graph reachability must
     # grow strictly slower than the proof count, on each step n=4->5, 5->6
-    # and 6->7. The default order branches on frontier edges, but the search
-    # has no residual caching, so equal sub-problems are searched again and
-    # the tree still grows faster than the simple-path count (two-terminal
-    # reliability is #P-hard).
+    # and 6->7. The default order branches on frontier edges, but the Horn
+    # oracle has no residual key, so the search memo never hits, equal
+    # sub-problems are searched again and the tree still grows faster than
+    # the simple-path count (two-terminal reliability is #P-hard).
     sizes = range(4, 8)
     nodes = {}
     for n in sizes:
@@ -292,9 +292,10 @@ def test_c07b_search_growth_versus_provenance():
         print("ACCEPTANCE 7b: FAIL (node growth vs clause growth, %s)" % "; ".join(failing))
         pytest.fail(
             "branch nodes grow at least as fast as the proof count on %d of "
-            "%d steps (%s). Measured: %s. The search has no residual caching, "
-            "so equal sub-problems are solved again; what stays polynomial "
-            "here is the oracle's per-call cost, not the tree size."
+            "%d steps (%s). Measured: %s. The Horn oracle has no residual key, "
+            "so the search memo never hits and equal sub-problems are solved "
+            "again; what stays polynomial here is the oracle's per-call cost, "
+            "not the tree size."
             % (
                 len(failing),
                 len(steps),

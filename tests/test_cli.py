@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dpnl import cli
 from dpnl.cli import _cross_check, main
 
 REPORT_KEYS = [
@@ -107,6 +108,26 @@ def test_sum_brute_cross_check(capsys):
     assert main(["sum", "--n", "2", "--uniform", "--sum", "63", "--brute"]) == 0
     out = capsys.readouterr().out
     assert "reference" in out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sum_full_brute_cross_check(n, capsys, monkeypatch):
+    argv = ["sum", "--n", str(n), "--uniform", "--full", "--brute"]
+    assert main(argv) == 0
+    assert "reference P(sum = " in capsys.readouterr().out
+    # a reference off at one output fails the check and names that output
+    exact = cli.sum_distribution_reference
+
+    def shifted(spec):
+        ref = exact(spec)
+        ref[n] += 1e-6
+        return ref
+
+    monkeypatch.setattr(cli, "sum_distribution_reference", shifted)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "reference P(sum = %d) = " % n in captured.out
+    assert "FAILED" in captured.err
 
 
 def test_sum_dists_inline_and_validation(capsys):
@@ -244,3 +265,40 @@ def test_gradcheck_program(program_file, capsys):
     assert main(["gradcheck", "--program", program_file]) == 0
     rel = float(capsys.readouterr().out.split("max_rel_err = ")[1].split()[0])
     assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["approx", "gradcheck"])
+def test_sum_task_without_n_is_usage_error(command, capsys):
+    argv = [command, "--uniform", "--sum", "4"]
+    if command == "approx":
+        argv += ["--stop", "exhaustive"]
+    assert main(argv) == 2
+    assert "error: need --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (
+            [
+                "approx", "--n", "1", "--uniform", "--sum", "9",
+                "--stop", "eps-add", "--eps", "0.05", "--heuristic", "random", "--seed", "9",
+            ],
+            9,
+        ),
+        (["logic", "--program", "PROGRAM"], None),
+        (["gradcheck", "--n", "1", "--uniform", "--sum", "4"], None),
+    ],
+)
+def test_report_schema(argv, seed, program_file, tmp_path):
+    report_path = tmp_path / "report.json"
+    argv = [program_file if a == "PROGRAM" else a for a in argv]
+    assert main(argv + ["--json", str(report_path)]) == 0
+    data = json.loads(report_path.read_text())
+    assert list(data.keys()) == REPORT_KEYS
+    assert data["command"] == argv[0]
+    if argv[0] == "approx":
+        assert data["low"] <= data["estimate"] <= data["up"]
+    else:
+        assert data["low"] is None and data["estimate"] is None and data["up"] is None
+    assert data["seed"] == seed

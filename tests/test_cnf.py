@@ -154,6 +154,9 @@ def test_bruteforce_guard():
 def test_bruteforce_tautology_single_var():
     assert abs(pwmc_bruteforce(CnfFormula(1, []), WeightMap([0.3])) - 1.0) <= 1e-12
     assert pwmc_bruteforce(CnfFormula(3, UNSAT), WeightMap([0.2, 0.5, 0.9])) == 0.0
+    # no variables: one empty assignment, which satisfies no empty clause
+    for g, want in ((CnfFormula(0, []), 1.0), (CnfFormula(0, [[]]), 0.0)):
+        assert pwmc_bruteforce(g, WeightMap([])) == probdpll(g, WeightMap([])) == want
 
 
 def test_prob_of_dnf():
