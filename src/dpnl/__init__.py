@@ -41,7 +41,6 @@ from .core import (
     OracleVerdict,
     QueryStats,
     SizeLimitError,
-    UNKNOWN,
     Valuation,
     VERDICT_FALSE,
     VERDICT_TRUE,

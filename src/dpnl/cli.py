@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Optional
 
 from . import approx as approx_mod
@@ -76,9 +75,7 @@ def cmd_pwmc(args) -> int:
     else:
         sigma = WeightMap.uniform(formula.num_vars)
     stats = QueryStats()
-    start = time.perf_counter()
     value = probdpll(formula, sigma, stats=stats)
-    stats.wall_time = time.perf_counter() - start
     print("pwmc = %s" % _fmt(value))
     rc = 0
     if args.brute:
@@ -211,7 +208,7 @@ def cmd_logic(args) -> int:
             raise InvalidInstanceError("--count-provenance needs --nodes")
         clauses = logic_mod.provenance_clause_count(args.nodes)
         table = [[args.edge_prob] * args.nodes for _ in range(args.nodes)]
-        prog = logic_mod.reachability_program(args.nodes, table, self_loops=args.self_loops)
+        prog = logic_mod.reachability_program(args.nodes, table)
     elif args.program:
         prog = _read_program(args.program)
     else:
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-provenance", action="store_true", dest="count_provenance")
     p.add_argument("--nodes", type=int, help="complete-graph size for --count-provenance")
     p.add_argument("--edge-prob", type=float, default=0.5, dest="edge_prob")
-    p.add_argument("--self-loops", action="store_true", dest="self_loops")
 
     # central differences bottom out around 1e-8 in float64, 1e-9 is unreachable
     p = command(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -96,8 +97,8 @@ class WeightMap:
         return self.probs[var]
 
     @classmethod
-    def uniform(cls, num_vars: int, p: float = 0.5) -> "WeightMap":
-        return cls([p] * num_vars)
+    def uniform(cls, num_vars: int) -> "WeightMap":
+        return cls([0.5] * num_vars)
 
 
 def parse_dimacs(text: str) -> tuple[CnfFormula, Optional[WeightMap]]:
@@ -257,11 +258,13 @@ def probdpll(
     reference behaviour that the tests pin down. The splits are walked on
     an explicit path of frames (variable, value of the X=1 branch once
     known, formula), so a deep but easy formula needs no call stack.
+    The counts and the elapsed time are added to ``stats``.
     """
     if len(sigma) < g.num_vars:
         raise ValueError("weight map covers %d of %d variables" % (len(sigma), g.num_vars))
     if stats is None:
         stats = QueryStats()
+    start = time.perf_counter()
     path: list[list] = []
     f = g
     while True:
@@ -289,6 +292,7 @@ def probdpll(
             p = sigma[frame[0]]
             value = p * frame[1] + (1.0 - p) * value
         else:
+            stats.wall_time += time.perf_counter() - start
             return value
 
 
@@ -325,7 +329,6 @@ def prob_of_dnf(
     dnf_clauses: Iterable[Sequence[int]],
     sigma: WeightMap,
     num_vars: Optional[int] = None,
-    stats: Optional[QueryStats] = None,
 ) -> float:
     """Probability that a DNF over weighted variables is true.
 
@@ -337,4 +340,4 @@ def prob_of_dnf(
         num_vars = max((abs(l) for clause in dnf for l in clause), default=0)
     negated = [[-l for l in clause] for clause in dnf]
     g = CnfFormula(num_vars, negated)
-    return 1.0 - probdpll(g, sigma, stats=stats)
+    return 1.0 - probdpll(g, sigma)

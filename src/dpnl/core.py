@@ -7,9 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-# Marker for an unassigned valuation cell and for an undecided oracle answer.
-UNKNOWN = None
-
 
 class InvalidInstanceError(ValueError):
     """Raised when a domain, distribution or instance is malformed."""
@@ -24,23 +21,10 @@ class Domain:
     """Finite value domain; values are the indices ``0..size-1``."""
 
     size: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.size < 1:
             raise InvalidInstanceError("domain size must be >= 1, got %r" % (self.size,))
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.size:
-                raise InvalidInstanceError(
-                    "expected %d labels, got %d" % (self.size, len(labels))
-                )
-            object.__setattr__(self, "labels", labels)
-
-    def label(self, value: int) -> str:
-        if self.labels is not None:
-            return self.labels[value]
-        return str(value)
 
 
 class Valuation:
@@ -140,11 +124,11 @@ def completion_count(v: Valuation, domains: Sequence[Domain]) -> int:
 class DiscreteDistribution:
     """Probability table over one variable's domain.
 
-    Construction rejects negative entries, normalizes the weights and records
-    the pre-normalization mass. ``probs`` always sums to 1 within 1e-9.
+    Construction rejects negative entries and normalizes the weights.
+    ``probs`` always sums to 1 within 1e-9.
     """
 
-    __slots__ = ("probs", "mass")
+    __slots__ = ("probs",)
 
     def __init__(self, weights: Sequence[float]):
         ws = tuple(float(w) for w in weights)
@@ -157,7 +141,6 @@ class DiscreteDistribution:
         if total <= 0.0:
             raise InvalidInstanceError("distribution has zero total mass")
         self.probs = tuple(w / total for w in ws)
-        self.mass = total
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -198,10 +181,6 @@ class OracleVerdict:
     def __repr__(self) -> str:
         name = {1: "true", 0: "false", None: "unknown"}[self.answer]
         return "OracleVerdict(%s)" % name
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.answer is None
 
 
 # Verdicts are shared singletons; oracles on hot paths return these instead

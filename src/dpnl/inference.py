@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Instance,
@@ -228,20 +228,29 @@ def bruteforce_probability(inst: Instance, sfn: SymbolicFunction, o: int) -> flo
     reference for the search. Refuses instances with more than
     ``BRUTEFORCE_TUPLE_LIMIT`` tuples.
     """
+    return _mass(_preimage(inst, sfn, o), [d.probs for d in inst.dists])
+
+
+def _preimage(inst: Instance, sfn: SymbolicFunction, o: int) -> Iterator[tuple[int, ...]]:
+    """The tuples that ``sfn`` maps to ``o``, lazily; the size check runs at the call."""
     n_tuples = 1
     for dom in inst.domains:
         n_tuples *= dom.size
     if n_tuples > BRUTEFORCE_TUPLE_LIMIT:
         raise SizeLimitError("brute force refuses %d tuples" % n_tuples)
-    probs = [d.probs for d in inst.dists]
     fn = sfn.fn
+    tuples = itertools.product(*(range(dom.size) for dom in inst.domains))
+    return (args for args in tuples if fn(args) == o)
+
+
+def _mass(preimage: Iterable[tuple[int, ...]], rows: Sequence[Sequence[float]]) -> float:
+    """Sum over the tuples of their table entries' product, in variable order."""
     total = 0.0
-    for args in itertools.product(*(range(dom.size) for dom in inst.domains)):
-        if fn(args) == o:
-            w = 1.0
-            for k, x in enumerate(args):
-                w *= probs[k][x]
-            total += w
+    for args in preimage:
+        w = 1.0
+        for k, x in enumerate(args):
+            w *= rows[k][x]
+        total += w
     return total
 
 
@@ -319,37 +328,17 @@ def finite_difference_partials(
     evaluates the enumeration sum at both points. Independent of the
     search's gradient, so it serves as its oracle in tests.
     """
-    n_tuples = 1
-    for dom in inst.domains:
-        n_tuples *= dom.size
-    if n_tuples > BRUTEFORCE_TUPLE_LIMIT:
-        raise SizeLimitError("finite differences refuse %d tuples" % n_tuples)
-    fn = sfn.fn
-    preimage = [
-        args
-        for args in itertools.product(*(range(dom.size) for dom in inst.domains))
-        if fn(args) == o
-    ]
+    preimage = list(_preimage(inst, sfn, o))
     rows = [list(d.probs) for d in inst.dists]
-
-    def evaluate() -> float:
-        total = 0.0
-        for args in preimage:
-            w = 1.0
-            for k, x in enumerate(args):
-                w *= rows[k][x]
-            total += w
-        return total
-
     out = []
     for k in range(inst.m):
         row_grad = []
         for x in range(inst.domains[k].size):
             saved = rows[k][x]
             rows[k][x] = saved + h
-            plus = evaluate()
+            plus = _mass(preimage, rows)
             rows[k][x] = saved - h
-            minus = evaluate()
+            minus = _mass(preimage, rows)
             rows[k][x] = saved
             row_grad.append((plus - minus) / (2.0 * h))
         out.append(row_grad)

@@ -131,8 +131,9 @@ class HornProgram:
 class _Solver:
     """Incremental counter-based forward chaining over one program's rules.
 
-    Deterministic rules come first in the rule arrays, followed by the
-    probabilistic ones. One state persists between calls:
+    Probabilistic rules come first in the rule arrays, so rule k < m is
+    variable k; the deterministic ones follow. One state persists between
+    calls:
 
     - the derived atoms;
     - for every rule, the number of its body atoms not yet derived, kept
@@ -163,12 +164,9 @@ class _Solver:
     """
 
     def __init__(self, prog: HornProgram):
-        num_det = len(prog.det_rules)
-        self.num_det = num_det
-        rules = list(prog.det_rules) + list(prog.prob_rules)
+        rules = list(prog.prob_rules) + list(prog.det_rules)
         self.heads = [h for h, _ in rules]
         self.query = prog.query
-        self.prob_ids = range(num_det, len(rules))
         watchers: list[list[int]] = [[] for _ in range(prog.num_atoms)]
         for r, (_, body) in enumerate(rules):
             for a in body:
@@ -184,7 +182,7 @@ class _Solver:
         self.cells: tuple = (None,) * prog.m  # the committed valuation
         # see verdict
         self.certificate: Optional[list[int]] = None
-        self._enable(range(num_det))
+        self._enable(range(prog.m, len(rules)))
 
     def _enable(self, rules: Iterable[int]) -> None:
         """Enable the rules and propagate: each derived atom takes one
@@ -235,7 +233,6 @@ class _Solver:
             raise InvalidInstanceError(
                 "valuation length %d does not match %d rules" % (len(cells), len(prev))
             )
-        num_det = self.num_det
         enabled = self.enabled
         level_rules = self.level_rules
         level_of = self.level_of
@@ -244,13 +241,13 @@ class _Solver:
         for k in compress(count(), map(ne, cells, prev)):
             if cells[k] == 1:
                 new.append(k)
-            elif enabled[num_det + k]:
+            elif enabled[k]:
                 lowest = min(lowest, level_of[k])
         if lowest < len(level_rules):
             self._undo(self.level_starts[lowest])
             kept = []
             for k in level_rules[lowest:]:
-                enabled[num_det + k] = 0
+                enabled[k] = 0
                 if cells[k] == 1:
                     kept.append(k)
             del level_rules[lowest:]
@@ -260,7 +257,7 @@ class _Solver:
             level_of[k] = len(level_rules)
             level_rules.append(k)
             self.level_starts.append(len(self.trail))
-            self._enable((num_det + k,))
+            self._enable((k,))
         self.cells = cells
 
     def committed_fixpoint(self, cells: Sequence) -> bytearray:
@@ -302,15 +299,13 @@ class _Solver:
         if cert is not None and 0 not in map(cells.__getitem__, cert):
             return None
         t = len(self.trail)
-        free = list(compress(self.prob_ids, map(is_, cells, repeat(None))))
+        free = list(compress(count(), map(is_, cells, repeat(None))))
         self._enable(free)
         found = derived[query]
         if found:
-            num_det = self.num_det
             heads = self.heads
             self.certificate = [
-                r - num_det for r in self.prob_ids
-                if cells[r - num_det] != 0 and derived[heads[r]]
+                r for r, c in enumerate(cells) if c != 0 and derived[heads[r]]
             ]
         self._undo(t)
         enabled = self.enabled
@@ -329,20 +324,19 @@ class _Solver:
         missing = self.missing
         heads = self.heads
         watchers = self.watchers
-        num_det = self.num_det
         live = None
-        for r in compress(count(num_det), map(is_, cells, repeat(None))):
+        for r in compress(count(), map(is_, cells, repeat(None))):
             h = heads[r]
             if derived[h] or missing[r]:
                 continue
             if h == self.query:
-                return r - num_det
+                return r
             for c in watchers[h]:
                 if not derived[heads[c]]:
                     if missing[c] == 1:
-                        return r - num_det
+                        return r
                     if live is None:
-                        live = r - num_det
+                        live = r
         if live is not None:
             return live
         if None not in cells:
@@ -544,17 +538,13 @@ def parse_program(text: str) -> HornProgram:
 # ---------------------------------------------------------------------------
 # graph reachability demonstrator
 
-def reachability_program(
-    n: int,
-    edge_probs: Sequence[Sequence[float]],
-    self_loops: bool = False,
-) -> HornProgram:
+def reachability_program(n: int, edge_probs: Sequence[Sequence[float]]) -> HornProgram:
     """Program asking whether node n is reachable from node 1.
 
-    One probabilistic fact per directed edge, read from the n x n table;
-    self loops are omitted by default since they can never affect
-    reachability. Deterministic rules ground the transitive step for every
-    generated edge.
+    One probabilistic fact per directed edge between distinct nodes, read
+    from the n x n table; self loops are omitted since they can never affect
+    reachability, and the diagonal is ignored. Deterministic rules ground
+    the transitive step for every generated edge.
     """
     if n < 2:
         raise InvalidInstanceError("need at least 2 nodes")
@@ -568,7 +558,7 @@ def reachability_program(
     probabilistic: list[tuple[float, str, list[str]]] = []
     for i in range(n):
         for j in range(n):
-            if i == j and not self_loops:
+            if i == j:
                 continue
             edge = "edge(%s,%s)" % (node(i), node(j))
             probabilistic.append((float(edge_probs[i][j]), edge, []))

@@ -46,15 +46,8 @@ class SymbolicFunction:
         self.fn = fn
         self.name = name
 
-    @property
-    def arity(self) -> int:
-        return len(self.domains)
-
-    def __call__(self, args: Sequence[int]) -> int:
-        return self.fn(tuple(args))
-
     def __repr__(self) -> str:
-        return "SymbolicFunction(%s/%d)" % (self.name or "fn", self.arity)
+        return "SymbolicFunction(%s/%d)" % (self.name or "fn", len(self.domains))
 
 
 class Oracle:
@@ -103,18 +96,18 @@ def naive_oracle(sfn: SymbolicFunction) -> Oracle:
     return Oracle(query, name="naive(%s)" % sfn.name)
 
 
-def exhaustive_oracle(sfn: SymbolicFunction, completion_guard: int = COMPLETION_GUARD) -> Oracle:
+def exhaustive_oracle(sfn: SymbolicFunction) -> Oracle:
     """Complete oracle that tests every total completion of the valuation.
 
     Answers 1/0 when all completions agree/disagree with the output and
     undecided as soon as it has seen one of each. Refuses valuations with
-    more than ``completion_guard`` completions.
+    more than ``COMPLETION_GUARD`` completions.
     """
     domains = sfn.domains
     verdicts = {1: VERDICT_TRUE, 0: VERDICT_FALSE, None: VERDICT_UNKNOWN}
 
     def query(v: Valuation, o: int) -> OracleVerdict:
-        if completion_count(v, domains) > completion_guard:
+        if completion_count(v, domains) > COMPLETION_GUARD:
             raise SizeLimitError(
                 "exhaustive oracle refuses %d completions" % completion_count(v, domains)
             )
@@ -171,7 +164,6 @@ def _probe(
     budget: int,
     seed: int,
     exhaustive: bool,
-    completion_guard: int,
     p_unknown: float,
     verify: Callable[[OracleVerdict, Valuation, int, SymbolicFunction], Optional[str]],
 ) -> CheckReport:
@@ -181,7 +173,7 @@ def _probe(
     Trials are ``budget`` random (valuation, output) pairs, each cell left
     unassigned with probability ``p_unknown``, or every pair with
     ``exhaustive=True``. Valuations with more completions than
-    ``completion_guard`` are skipped in sampling mode and refused in
+    ``COMPLETION_GUARD`` are skipped in sampling mode and refused in
     exhaustive mode.
     """
     if not exhaustive and budget < 1:
@@ -202,7 +194,7 @@ def _probe(
 
     checked = 0
     for v, o in trials():
-        if completion_count(v, sfn.domains) > completion_guard:
+        if completion_count(v, sfn.domains) > COMPLETION_GUARD:
             if exhaustive:
                 raise SizeLimitError("exhaustive check exceeds completion guard")
             continue
@@ -248,17 +240,16 @@ def check_validity(
     budget: int = 10_000,
     seed: int = 0,
     exhaustive: bool = False,
-    completion_guard: int = COMPLETION_GUARD,
 ) -> CheckReport:
     """Probe an oracle for soundness violations.
 
     Samples ``budget`` random (valuation, output) pairs (or enumerates all of
     them with ``exhaustive=True``) and, for every decided answer, verifies the
     decision against every total completion. Valuations with more completions
-    than ``completion_guard`` are skipped in sampling mode and refused in
+    than ``COMPLETION_GUARD`` are skipped in sampling mode and refused in
     exhaustive mode.
     """
-    return _probe(oracle, sfn, budget, seed, exhaustive, completion_guard, 0.4, _verify_verdict)
+    return _probe(oracle, sfn, budget, seed, exhaustive, 0.4, _verify_verdict)
 
 
 def check_completeness(
@@ -267,11 +258,10 @@ def check_completeness(
     budget: int = 10_000,
     seed: int = 0,
     exhaustive: bool = False,
-    completion_guard: int = COMPLETION_GUARD,
 ) -> CheckReport:
     """Probe an oracle for undecided answers it could have decided.
 
     For every undecided answer, verifies that the completions genuinely mix:
     at least one maps to the output and at least one maps elsewhere.
     """
-    return _probe(oracle, sfn, budget, seed, exhaustive, completion_guard, 0.6, _verify_undecided)
+    return _probe(oracle, sfn, budget, seed, exhaustive, 0.6, _verify_undecided)

@@ -266,15 +266,22 @@ def sum_distribution_reference(spec: SumInstanceSpec) -> list[float]:
     return [float(p) for p in conv] + [0.0]
 
 
-def parse_dist_rows(rows, tol: float = 1e-6) -> list[list[float]]:
-    """Raw distribution rows as floats, each summing to 1 within ``tol``.
+def parse_dist_rows(rows) -> list[list[float]]:
+    """Raw distribution rows as floats, each summing to 1 within 1e-6.
 
     Row count and width are checked by ``SumInstanceSpec``, negative and
     non-finite entries by ``DiscreteDistribution``.
     """
-    rows = [list(map(float, row)) for row in rows]
+    if not isinstance(rows, list):
+        raise InvalidInstanceError("expected a list of rows, got %r" % (rows,))
+    out = []
     for i, row in enumerate(rows):
-        total = sum(row)
-        if abs(total - 1.0) > tol:
+        try:
+            floats = [float(p) for p in row]
+        except (TypeError, ValueError):
+            raise InvalidInstanceError("row %d is not a list of numbers: %r" % (i, row)) from None
+        total = sum(floats)
+        if abs(total - 1.0) > 1e-6:
             raise InvalidInstanceError("row %d sums to %.9f, not 1" % (i, total))
-    return rows
+        out.append(floats)
+    return out

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dpnl import cli
 from dpnl.cli import _cross_check, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REPORT_KEYS = [
     "command",
@@ -130,12 +136,30 @@ def test_sum_full_brute_cross_check(n, capsys, monkeypatch):
     assert "FAILED" in captured.err
 
 
-def test_sum_dists_inline_and_validation(capsys):
+def test_sum_dists_inline_and_validation(tmp_path, capsys):
     rows = [[0.1] * 10, [0.1] * 10]
     assert main(["sum", "--n", "1", "--dists", json.dumps(rows), "--sum", "9"]) == 0
     bad = [[0.2] * 10, [0.1] * 10]  # first row sums to 2
     assert main(["sum", "--n", "1", "--dists", json.dumps(bad), "--sum", "9"]) == 2
     assert "error" in capsys.readouterr().err
+    # rows that are not lists of numbers are usage errors naming the row
+    for malformed in ("[1, 2]", json.dumps([[0.1] * 10, [None] * 10])):
+        assert main(["sum", "--n", "1", "--dists", malformed, "--sum", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row ")
+    not_rows = tmp_path / "rows.json"
+    not_rows.write_text("5\n")
+    assert main(["sum", "--n", "1", "--dists", str(not_rows), "--sum", "3"]) == 2
+    assert "expected a list of rows" in capsys.readouterr().err
+
+
+def test_module_entry_point_reports_usage_errors():
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = [sys.executable, "-m", "dpnl", "sum", "--n", "1", "--dists", "[1, 2]", "--sum", "3"]
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_sum_orders_agree(capsys):
@@ -229,12 +253,15 @@ def test_logic_approx_program(program_file, capsys):
     assert "estimate = 0.25" in capsys.readouterr().out
 
 
-def test_logic_count_provenance(capsys):
-    # n=4 keeps the test fast; the exact query takes about a second at n=7
-    assert main(["logic", "--count-provenance", "--nodes", "4"]) == 0
+@pytest.mark.parametrize(
+    "nodes,clauses,branch_nodes", [(4, 5, 17), (5, 16, 97)], ids=["n4", "n5"]
+)
+def test_logic_count_provenance(capsys, nodes, clauses, branch_nodes):
+    # small n keeps the test fast; the exact query takes about a second at n=7
+    assert main(["logic", "--count-provenance", "--nodes", str(nodes)]) == 0
     out = capsys.readouterr().out
-    assert "provenance_clauses = 5" in out
-    assert "branch_nodes" in out
+    assert "provenance_clauses = %d" % clauses in out
+    assert "branch_nodes = %d\n" % branch_nodes in out
 
 
 def test_logic_nonground_program_error(tmp_path, capsys):

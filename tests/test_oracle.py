@@ -72,10 +72,11 @@ def test_exhaustive_verdicts_monotone():
             assert oracle(w, o).answer == answer
 
 
-def test_exhaustive_oracle_guard(add1):
-    oracle = exhaustive_oracle(add1, completion_guard=5)
+def test_exhaustive_oracle_guard():
+    # 10^8 completions exceed COMPLETION_GUARD, so none is enumerated
+    oracle = exhaustive_oracle(sum_function(4))
     with pytest.raises(SizeLimitError):
-        oracle(fresh_valuation(2), 4)
+        oracle(fresh_valuation(8), 4)
 
 
 def test_check_validity_passes_for_generic_constructions(add1):
