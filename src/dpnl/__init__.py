@@ -35,7 +35,6 @@ from .cnf import (
 )
 from .core import (
     Domain,
-    DiscreteDistribution,
     Instance,
     InvalidInstanceError,
     OracleVerdict,

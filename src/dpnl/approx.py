@@ -62,7 +62,7 @@ class EpsMultiplicative(StopPolicy):
     (1+eps) factor of the exact value."""
 
     def __init__(self, eps: float):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be > 0")
         self.eps = eps
 
@@ -75,7 +75,7 @@ class EpsAdditive(StopPolicy):
     exact value."""
 
     def __init__(self, eps: float):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be > 0")
         self.eps = eps
 
@@ -87,7 +87,7 @@ class TimeBudget(StopPolicy):
     """Stop after a wall-clock budget (monotonic clock), in seconds."""
 
     def __init__(self, seconds: float):
-        if seconds <= 0:
+        if not seconds > 0:
             raise ValueError("time budget must be > 0")
         self.seconds = seconds
 
@@ -273,7 +273,7 @@ def approx_dpnl(
         order = SequentialOrder()
     residual_key = oracle.residual_key or _valuation_key
     stats = QueryStats()
-    probs = [d.probs for d in inst.dists]
+    probs = inst.probs
     low = 0.0
     up = 1.0
     frontier = _Frontier(heuristic.ranker())

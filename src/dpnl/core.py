@@ -1,4 +1,4 @@
-"""Shared domain types: finite domains, valuations, distributions, verdicts."""
+"""Shared domain types: finite domains, valuations, verdicts, instances."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Iterator, Optional, Sequence
 
 
 class InvalidInstanceError(ValueError):
-    """Raised when a domain, distribution or instance is malformed."""
+    """Raised when a domain, probability row or instance is malformed."""
 
 
 class SizeLimitError(RuntimeError):
@@ -121,53 +121,6 @@ def completion_count(v: Valuation, domains: Sequence[Domain]) -> int:
     return n
 
 
-class DiscreteDistribution:
-    """Probability table over one variable's domain.
-
-    Construction rejects negative entries and normalizes the weights.
-    ``probs`` always sums to 1 within 1e-9.
-    """
-
-    __slots__ = ("probs",)
-
-    def __init__(self, weights: Sequence[float]):
-        ws = tuple(float(w) for w in weights)
-        if not ws:
-            raise InvalidInstanceError("distribution needs at least one entry")
-        for w in ws:
-            if w < 0.0 or not math.isfinite(w):
-                raise InvalidInstanceError("invalid probability weight %r" % (w,))
-        total = math.fsum(ws)
-        if total <= 0.0:
-            raise InvalidInstanceError("distribution has zero total mass")
-        self.probs = tuple(w / total for w in ws)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __getitem__(self, value: int) -> float:
-        return self.probs[value]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiscreteDistribution) and self.probs == other.probs
-
-    def __hash__(self) -> int:
-        return hash(self.probs)
-
-    def __repr__(self) -> str:
-        return "DiscreteDistribution(%s)" % (list(self.probs),)
-
-    @classmethod
-    def uniform(cls, size: int) -> "DiscreteDistribution":
-        return cls([1.0] * size)
-
-    @classmethod
-    def point_mass(cls, size: int, value: int) -> "DiscreteDistribution":
-        ws = [0.0] * size
-        ws[value] = 1.0
-        return cls(ws)
-
-
 class OracleVerdict:
     """Three-valued oracle answer: 1, 0 or ``None`` (undecided)."""
 
@@ -191,38 +144,36 @@ VERDICT_UNKNOWN = OracleVerdict(None)
 
 
 class Instance:
-    """An inference problem: per-variable domains and distributions plus the
-    output domain. The symbolic function itself travels separately."""
+    """An inference problem: one probability row per variable plus the output
+    domain. The symbolic function itself travels separately.
 
-    __slots__ = ("m", "domains", "dists", "output_domain")
+    Each row is checked (non-empty, finite, non-negative weights with a
+    positive total) and normalised; ``probs[k][x]`` is P(X_k = x).
+    """
 
-    def __init__(
-        self,
-        domains: Sequence[Domain],
-        dists: Sequence[DiscreteDistribution],
-        output_domain: Domain,
-    ):
-        domains = tuple(domains)
-        dists = tuple(dists)
-        if len(domains) < 1:
+    __slots__ = ("m", "probs", "output_domain")
+
+    def __init__(self, rows: Sequence[Sequence[float]], output_domain: Domain):
+        probs = []
+        for k, row in enumerate(rows):
+            ws = tuple(float(w) for w in row)
+            if not ws:
+                raise InvalidInstanceError("row %d needs at least one entry" % k)
+            for w in ws:
+                if w < 0.0 or not math.isfinite(w):
+                    raise InvalidInstanceError("invalid probability weight %r in row %d" % (w, k))
+            total = math.fsum(ws)
+            if total <= 0.0:
+                raise InvalidInstanceError("row %d has zero total mass" % k)
+            probs.append(tuple(w / total for w in ws))
+        if not probs:
             raise InvalidInstanceError("instance needs at least one variable")
-        if len(dists) != len(domains):
-            raise InvalidInstanceError(
-                "%d domains but %d distributions" % (len(domains), len(dists))
-            )
-        for k, (dom, dist) in enumerate(zip(domains, dists)):
-            if len(dist) != dom.size:
-                raise InvalidInstanceError(
-                    "distribution %d has %d entries for a domain of size %d"
-                    % (k, len(dist), dom.size)
-                )
-        self.m = len(domains)
-        self.domains = domains
-        self.dists = dists
+        self.m = len(probs)
+        self.probs = tuple(probs)
         self.output_domain = output_domain
 
     def prob(self, k: int, value: int) -> float:
-        return self.dists[k].probs[value]
+        return self.probs[k][value]
 
 
 @dataclass

@@ -13,6 +13,7 @@ valuation.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -117,10 +118,13 @@ def _search(
         raise InvalidInstanceError(
             "valuation length %d for instance of order %d" % (len(valuation), inst.m)
         )
+    for k, c in enumerate(valuation.cells):
+        if c is not None and not 0 <= c < len(inst.probs[k]):
+            raise InvalidInstanceError("valuation value %r out of range for variable %d" % (c, k))
     if order is None:
         order = SequentialOrder()
     stats = QueryStats()
-    probs = [d.probs for d in inst.dists]
+    probs = inst.probs
     residual_key = oracle.residual_key
     memo: dict = {}
     nodes: list = []
@@ -228,18 +232,18 @@ def bruteforce_probability(inst: Instance, sfn: SymbolicFunction, o: int) -> flo
     reference for the search. Refuses instances with more than
     ``BRUTEFORCE_TUPLE_LIMIT`` tuples.
     """
-    return _mass(_preimage(inst, sfn, o), [d.probs for d in inst.dists])
+    return _mass(_preimage(inst, sfn, o), inst.probs)
 
 
 def _preimage(inst: Instance, sfn: SymbolicFunction, o: int) -> Iterator[tuple[int, ...]]:
     """The tuples that ``sfn`` maps to ``o``, lazily; the size check runs at the call."""
     n_tuples = 1
-    for dom in inst.domains:
-        n_tuples *= dom.size
+    for row in inst.probs:
+        n_tuples *= len(row)
     if n_tuples > BRUTEFORCE_TUPLE_LIMIT:
         raise SizeLimitError("brute force refuses %d tuples" % n_tuples)
     fn = sfn.fn
-    tuples = itertools.product(*(range(dom.size) for dom in inst.domains))
+    tuples = itertools.product(*(range(len(row)) for row in inst.probs))
     return (args for args in tuples if fn(args) == o)
 
 
@@ -269,8 +273,7 @@ class GradientResult:
     partials: list[list[float]]
 
     def reconstruct(self, inst: Instance, k: int) -> float:
-        row = inst.dists[k].probs
-        return sum(p * g for p, g in zip(row, self.partials[k]))
+        return sum(p * g for p, g in zip(inst.probs[k], self.partials[k]))
 
 
 def dpnl_gradient(
@@ -294,7 +297,7 @@ def dpnl_gradient(
     """
     value, stats, nodes = _search(inst, o, oracle, valuation, order, record=True)
     start = time.perf_counter()
-    probs = [d.probs for d in inst.dists]
+    probs = inst.probs
     partials = [[0.0] * len(row) for row in probs]
     adjoint = [0.0] * len(nodes)
     adjoint[-1] = 1.0
@@ -328,18 +331,20 @@ def finite_difference_partials(
     evaluates the enumeration sum at both points. Independent of the
     search's gradient, so it serves as its oracle in tests.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("finite-difference step must be finite and > 0, got %r" % (h,))
     preimage = list(_preimage(inst, sfn, o))
-    rows = [list(d.probs) for d in inst.dists]
+    rows = [list(row) for row in inst.probs]
     out = []
-    for k in range(inst.m):
+    for row in rows:
         row_grad = []
-        for x in range(inst.domains[k].size):
-            saved = rows[k][x]
-            rows[k][x] = saved + h
+        for x in range(len(row)):
+            saved = row[x]
+            row[x] = saved + h
             plus = _mass(preimage, rows)
-            rows[k][x] = saved - h
+            row[x] = saved - h
             minus = _mass(preimage, rows)
-            rows[k][x] = saved
+            row[x] = saved
             row_grad.append((plus - minus) / (2.0 * h))
         out.append(row_grad)
     return out

@@ -20,7 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     Domain,
-    DiscreteDistribution,
     Instance,
     InvalidInstanceError,
     OracleVerdict,
@@ -394,14 +393,12 @@ def logic_instance(prog: HornProgram) -> tuple[Instance, SymbolicFunction, Oracl
     if prog.m == 0:
         raise InvalidInstanceError("program has no probabilistic rules")
     solver = prog.solver()
-    domains = [Domain(2)] * prog.m
-    dists = [DiscreteDistribution([1.0 - p, p]) for p in prog.probs]
 
     def fn(args: tuple[int, ...]) -> int:
         return 1 if solver.entails_committed(args) else 0
 
-    sfn = SymbolicFunction(domains, Domain(2), fn, name="horn")
-    inst = Instance(domains, dists, Domain(2))
+    sfn = SymbolicFunction([Domain(2)] * prog.m, Domain(2), fn, name="horn")
+    inst = Instance([(1.0 - p, p) for p in prog.probs], Domain(2))
     return inst, sfn, logic_oracle(prog)
 
 
@@ -589,8 +586,8 @@ def ad_transform(p: Sequence[float]) -> list[float]:
     entry follows a prefix that already consumed all mass.
     """
     ps = [float(x) for x in p]
-    if any(x < 0 for x in ps):
-        raise InvalidInstanceError("negative category probability")
+    if not all(x >= 0 for x in ps):
+        raise InvalidInstanceError("negative or NaN category probability")
     if math.fsum(ps) > 1.0 + 1e-9:
         raise InvalidInstanceError("category probabilities sum beyond 1")
     out = []

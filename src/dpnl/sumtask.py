@@ -7,6 +7,7 @@ output is their sum, at most N+1 digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Sequence
@@ -15,7 +16,6 @@ import numpy as np
 
 from .core import (
     Domain,
-    DiscreteDistribution,
     Instance,
     InvalidInstanceError,
     Valuation,
@@ -227,12 +227,7 @@ def sum_oracle(n: int) -> Oracle:
 def build_sum_instance(spec: SumInstanceSpec) -> tuple[Instance, SymbolicFunction, Oracle]:
     """Wire the addition function, its oracle and the digit distributions."""
     sfn = sum_function(spec.n)
-    inst = Instance(
-        domains=sfn.domains,
-        dists=[DiscreteDistribution(row) for row in spec.dists],
-        output_domain=sfn.output_domain,
-    )
-    return inst, sfn, sum_oracle(spec.n)
+    return Instance(spec.dists, sfn.output_domain), sfn, sum_oracle(spec.n)
 
 
 def sum_distribution_reference(spec: SumInstanceSpec) -> list[float]:
@@ -241,13 +236,16 @@ def sum_distribution_reference(spec: SumInstanceSpec) -> list[float]:
     Builds each summand's value distribution digit by digit, then convolves
     the two; O(N * 10^N) work. Valid because the summands are independent
     products of independent digits, which makes this the test oracle for the
-    recursive computation on sum instances.
+    recursive computation on sum instances. Each row is normalised by its
+    ``math.fsum`` total, as ``Instance`` does.
     """
     n = spec.n
 
     def summand(rows: Sequence[Sequence[float]]) -> list[float]:
         values = [1.0]
         for row in rows:
+            total = math.fsum(row)
+            row = [p / total for p in row]
             nxt = [0.0] * (len(values) * 10)
             for value, pv in enumerate(values):
                 if pv == 0.0:
@@ -270,7 +268,7 @@ def parse_dist_rows(rows) -> list[list[float]]:
     """Raw distribution rows as floats, each summing to 1 within 1e-6.
 
     Row count and width are checked by ``SumInstanceSpec``, negative and
-    non-finite entries by ``DiscreteDistribution``.
+    non-finite entries by ``Instance``.
     """
     if not isinstance(rows, list):
         raise InvalidInstanceError("expected a list of rows, got %r" % (rows,))

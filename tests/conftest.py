@@ -10,7 +10,6 @@ import random
 
 from dpnl import (
     CnfFormula,
-    DiscreteDistribution,
     Domain,
     HornProgram,
     Instance,
@@ -31,8 +30,8 @@ def random_table_instance(rng: random.Random, m_max=6, size_max=5, out_max=4):
     }
     domains = [Domain(s) for s in sizes]
     sfn = SymbolicFunction(domains, Domain(out_size), table.__getitem__, name="table")
-    dists = [random_distribution(rng, s) for s in sizes]
-    inst = Instance(domains, dists, Domain(out_size))
+    rows = [random_distribution(rng, s) for s in sizes]
+    inst = Instance(rows, Domain(out_size))
     return inst, sfn
 
 
@@ -48,8 +47,9 @@ def table_residual_key(sfn: SymbolicFunction):
     return key
 
 
-def random_distribution(rng: random.Random, size: int) -> DiscreteDistribution:
-    return DiscreteDistribution([rng.random() + 0.05 for _ in range(size)])
+def random_distribution(rng: random.Random, size: int) -> list[float]:
+    """Positive weights for one row; ``Instance`` normalises them."""
+    return [rng.random() + 0.05 for _ in range(size)]
 
 
 def random_digit_rows(rng: random.Random, n: int) -> list[list[float]]:
@@ -128,9 +128,9 @@ def count_simple_paths(n: int) -> int:
 def enumerate_distribution(inst: Instance, sfn: SymbolicFunction) -> dict[int, float]:
     """Definitional full output distribution by tuple enumeration."""
     out = {o: 0.0 for o in range(inst.output_domain.size)}
-    for args in itertools.product(*(range(d.size) for d in inst.domains)):
+    for args in itertools.product(*(range(len(row)) for row in inst.probs)):
         w = 1.0
         for k, x in enumerate(args):
-            w *= inst.dists[k].probs[x]
+            w *= inst.probs[k][x]
         out[sfn.fn(args)] += w
     return out

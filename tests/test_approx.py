@@ -6,7 +6,6 @@ import pytest
 
 from dpnl import (
     Bounds,
-    DiscreteDistribution,
     Domain,
     EpsAdditive,
     EpsMultiplicative,
@@ -171,6 +170,9 @@ def test_stop_policy_validation():
         EpsAdditive(-0.1)
     with pytest.raises(ValueError):
         TimeBudget(0.0)
+    for policy in (EpsMultiplicative, EpsAdditive, TimeBudget):
+        with pytest.raises(ValueError):
+            policy(float("nan"))
     with pytest.raises(ValueError):
         bound_trace(None, 0, None, Fifo(), max_steps=0)
 
@@ -265,7 +267,7 @@ def drift_instance(rng, m):
         exact[table[args]] += weight
     domains = [Domain(2)] * m
     sfn = SymbolicFunction(domains, Domain(4), table.__getitem__, name="drift")
-    inst = Instance(domains, [DiscreteDistribution(row) for row in rows], Domain(4))
+    inst = Instance(rows, Domain(4))
     return inst, sfn, exact
 
 
@@ -275,10 +277,7 @@ def heavy_leaf_then_dust_instance():
     whose 1,000 values are true leaves of about 0.51 ulp of ``low`` each:
     adding them to ``low`` with round-to-nearest lifts it past the exact
     value, so only the outward rounding of ``low`` keeps it sound."""
-    domains = [Domain(2)] * 43 + [Domain(1000)]
-    dists = [DiscreteDistribution([0.75, 0.25])]
-    dists += [DiscreteDistribution([0.5, 0.5])] * 42 + [DiscreteDistribution.uniform(1000)]
-    inst = Instance(domains, dists, Domain(2))
+    inst = Instance([[0.75, 0.25]] + [[0.5, 0.5]] * 42 + [[1.0] * 1000], Domain(2))
 
     def fn(v, o):
         cells = v.cells
@@ -290,10 +289,11 @@ def heavy_leaf_then_dust_instance():
         return VERDICT_TRUE if o == 1 else VERDICT_FALSE
 
     tail = Fraction(1)
-    for d in dists[1:43]:
-        tail *= Fraction(d.probs[1])
-    exact = Fraction(dists[0].probs[0]) + Fraction(dists[0].probs[1]) * tail * sum(
-        Fraction(p) for p in dists[43].probs
+    probs = inst.probs
+    for row in probs[1:43]:
+        tail *= Fraction(row[1])
+    exact = Fraction(probs[0][0]) + Fraction(probs[0][1]) * tail * sum(
+        Fraction(p) for p in probs[43]
     )
     return inst, Oracle(fn), exact
 

@@ -77,6 +77,8 @@ def test_cross_check_exit_codes(capsys):
     assert _cross_check("ref", 0.5, 0.5 + 1e-12, 1e-9) == 0
     assert _cross_check("ref", 0.5, 0.75, 1e-9) == 1
     assert "FAILED" in capsys.readouterr().err
+    assert _cross_check("ref", float("nan"), 0.5, 1e-9) == 1
+    assert "FAILED" in capsys.readouterr().err
 
 
 def test_pwmc_parse_error_exit_code(tmp_path, capsys):
@@ -151,6 +153,11 @@ def test_sum_dists_inline_and_validation(tmp_path, capsys):
     not_rows.write_text("5\n")
     assert main(["sum", "--n", "1", "--dists", str(not_rows), "--sum", "3"]) == 2
     assert "expected a list of rows" in capsys.readouterr().err
+    # a row within the 1e-6 sum tolerance is normalised alike by the
+    # instance and by the convolution reference
+    near = [[0.1000005] + [0.1] * 9, [0.1] * 10]
+    assert main(["sum", "--n", "1", "--dists", json.dumps(near), "--sum", "0", "--brute"]) == 0
+    assert "|diff| = 0.000e+00" in capsys.readouterr().out
 
 
 def test_module_entry_point_reports_usage_errors():
@@ -286,6 +293,10 @@ def test_gradcheck_sum(capsys):
     assert "max_rel_err" in out
     rel = float(out.split("max_rel_err = ")[1].split()[0])
     assert rel <= 1e-6
+    # a zero or NaN step is a usage error, not a traceback or a silent pass
+    for h in ("0", "nan"):
+        assert main(["gradcheck", "--n", "1", "--uniform", "--sum", "4", "--h", h]) == 2
+        assert capsys.readouterr().err.startswith("error: finite-difference step")
 
 
 def test_gradcheck_program(program_file, capsys):

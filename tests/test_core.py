@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpnl import (
-    DiscreteDistribution,
     Domain,
     Instance,
     InvalidInstanceError,
@@ -92,27 +91,22 @@ def test_is_subvaluation_reflexive(cells):
 
 
 def test_distribution_normalizes_and_records_mass():
-    d = DiscreteDistribution([2.0, 6.0])
-    assert d.probs == (0.25, 0.75)
-    assert abs(math.fsum(d.probs) - 1.0) <= 1e-9
+    row = Instance([[2.0, 6.0]], Domain(2)).probs[0]
+    assert row == (0.25, 0.75)
+    assert abs(math.fsum(row) - 1.0) <= 1e-9
 
 
 @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 1e-6))
 def test_distribution_sums_to_one(weights):
-    d = DiscreteDistribution(weights)
-    assert abs(math.fsum(d.probs) - 1.0) <= 1e-9
-    assert all(p >= 0 for p in d.probs)
+    row = Instance([weights], Domain(2)).probs[0]
+    assert abs(math.fsum(row) - 1.0) <= 1e-9
+    assert all(p >= 0 for p in row)
 
 
 def test_distribution_rejects_bad_input():
-    with pytest.raises(InvalidInstanceError):
-        DiscreteDistribution([0.5, -0.1])
-    with pytest.raises(InvalidInstanceError):
-        DiscreteDistribution([0.0, 0.0])
-    with pytest.raises(InvalidInstanceError):
-        DiscreteDistribution([])
-    with pytest.raises(InvalidInstanceError):
-        DiscreteDistribution([float("nan")])
+    for row in ([0.5, -0.1], [0.0, 0.0], [], [float("nan")]):
+        with pytest.raises(InvalidInstanceError):
+            Instance([row], Domain(2))
 
 
 def test_domain_validation():
@@ -122,10 +116,8 @@ def test_domain_validation():
 
 def test_instance_validation():
     with pytest.raises(InvalidInstanceError):
-        Instance([], [], Domain(2))
-    with pytest.raises(InvalidInstanceError):
-        Instance([Domain(2)], [DiscreteDistribution([1.0, 1.0, 1.0])], Domain(2))
-    inst = Instance([Domain(2)], [DiscreteDistribution([1.0, 3.0])], Domain(2))
+        Instance([], Domain(2))
+    inst = Instance([[1.0, 3.0]], Domain(2))
     assert inst.m == 1
     assert inst.prob(0, 1) == 0.75
 

@@ -4,7 +4,6 @@ import pytest
 
 from dpnl import (
     CustomOrder,
-    DiscreteDistribution,
     Domain,
     Exhaustive,
     Instance,
@@ -56,6 +55,14 @@ def test_dpnl_conditional_on_partial(uniform1):
     assert abs(value - inst.prob(1, 5)) <= 1e-12
 
 
+def test_start_valuation_outside_domain_rejected(uniform1):
+    inst, _, oracle = uniform1
+    for cells, o in (([10, None], 12), ([-1, None], 3)):
+        for engine in (dpnl, dpnl_gradient):
+            with pytest.raises(InvalidInstanceError):
+                engine(inst, o, oracle, valuation=Valuation(cells))
+
+
 def test_output_distribution_uniform(uniform1):
     inst, _, oracle = uniform1
     dist, _ = output_distribution(inst, oracle, order=right_to_left_order(1))
@@ -82,7 +89,7 @@ def test_bruteforce_probability():
     assert abs(total - 1.0) <= 1e-9
     # single identity variable: the probability is read off the table
     ident = SymbolicFunction([Domain(4)], Domain(4), lambda a: a[0])
-    inst1 = Instance([Domain(4)], [DiscreteDistribution([1, 2, 3, 4])], Domain(4))
+    inst1 = Instance([[1, 2, 3, 4]], Domain(4))
     assert abs(bruteforce_probability(inst1, ident, 2) - 0.3) <= 1e-12
     # output outside the image: empty preimage
     assert bruteforce_probability(inst1, ident, 5) == 0.0

@@ -450,6 +450,8 @@ def test_ad_transform_degenerate_prefix():
         ad_transform([-0.1, 0.5])
     with pytest.raises(InvalidInstanceError):
         ad_transform([0.9, 0.3])  # over unit mass
+    with pytest.raises(InvalidInstanceError):
+        ad_transform([float("nan"), 0.5])
 
 
 @given(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8))
