@@ -263,11 +263,13 @@ def approx_dpnl(
     added to the entry's and no second valuation is queued, which counts as
     a cache hit. Equal keys mean equal conditional values, so one oracle
     call settles the merged mass: it all goes to ``low``, all comes off
-    ``up``, or is split among the children of the entry's valuation. Each
-    settled mass is shrunk by the relative error its roundings allow and the
-    bounds are rounded outward, so ``low <= exact <= up`` holds in floating
-    point. When ``trace`` is a list, a snapshot is appended after every
-    iteration, preceded by the initial (0, 1) state.
+    ``up``, or is split among the children of the entry's valuation. A
+    child whose value the oracle's ``viable`` hook drops is never queued:
+    its mass comes off ``up`` at once. Each settled mass is shrunk by the
+    relative error its roundings allow and the bounds are rounded outward,
+    so ``low <= exact <= up`` holds in floating point. When ``trace`` is a
+    list, a snapshot is appended after every iteration, preceded by the
+    initial (0, 1) state.
     """
     if order is None:
         order = SequentialOrder()
@@ -291,10 +293,19 @@ def approx_dpnl(
         if answer is None:
             stats.branch_nodes += 1
             k = _checked_choice(order, v)
+            row = probs[k]
+            ys = oracle.branch_values(v, k, o, len(row))
             mass, rounds = entry.mass, entry.rounds + 1
-            for y, p in enumerate(probs[k]):
+            if len(ys) < len(row):
+                # a dropped child settles like a false leaf, with no oracle call
+                stats.pruned += len(row) - len(ys)
+                for y, p in enumerate(row):
+                    if y not in ys:
+                        settled = mass * p * (1.0 - (rounds + 2) * 2 * _UNIT)
+                        up = min(up, math.nextafter(up - settled, math.inf))
+            for y in ys:
                 child = v.assign(k, y)
-                if frontier.add(residual_key(child, o), child, mass * p, rounds):
+                if frontier.add(residual_key(child, o), child, mass * row[y], rounds):
                     stats.cache_hits += 1
         else:
             # shrunk below the exact mass: the margin covers the entry's

@@ -36,8 +36,8 @@ def _fmt(p: float) -> str:
 def _emit(args, command: str, result, stats: QueryStats, bounds=None) -> None:
     """Print the stats line; write the JSON run report if ``--json`` is set."""
     print(
-        "stats: oracle_calls=%d branch_nodes=%d cache_hits=%d wall_time_s=%.6f"
-        % (stats.oracle_calls, stats.branch_nodes, stats.cache_hits, stats.wall_time)
+        "stats: oracle_calls=%d branch_nodes=%d cache_hits=%d pruned=%d wall_time_s=%.6f"
+        % (stats.oracle_calls, stats.branch_nodes, stats.cache_hits, stats.pruned, stats.wall_time)
     )
     if args.json:
         report = {
@@ -51,6 +51,7 @@ def _emit(args, command: str, result, stats: QueryStats, bounds=None) -> None:
             "cache_hits": stats.cache_hits,
             "wall_time_s": stats.wall_time,
             "seed": getattr(args, "seed", None),
+            "pruned": stats.pruned,
         }
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -172,16 +172,15 @@ class Instance:
         self.probs = tuple(probs)
         self.output_domain = output_domain
 
-    def prob(self, k: int, value: int) -> float:
-        return self.probs[k][value]
-
 
 @dataclass
 class QueryStats:
     """Work counters for one query; wall time in seconds.
 
     ``cache_hits`` counts nodes answered from the residual-key memo, without
-    an oracle call.
+    an oracle call. ``pruned`` counts the values a branch dropped on the
+    oracle's ``viable`` answer; their children are never built, so they are
+    not leaves.
     """
 
     oracle_calls: int = 0
@@ -190,11 +189,13 @@ class QueryStats:
     leaves_false: int = 0
     wall_time: float = 0.0
     cache_hits: int = 0
+    pruned: int = 0
 
     def merge(self, other: "QueryStats") -> None:
         self.oracle_calls += other.oracle_calls
         self.branch_nodes += other.branch_nodes
         self.cache_hits += other.cache_hits
+        self.pruned += other.pruned
         self.leaves_true += other.leaves_true
         self.leaves_false += other.leaves_false
         self.wall_time += other.wall_time

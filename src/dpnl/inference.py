@@ -99,13 +99,15 @@ def _search(
     """The exact search behind ``dpnl`` and ``dpnl_gradient`` (see ``dpnl``).
 
     If the oracle has a ``residual_key``, a node whose key was seen before
-    reuses that node's result with no oracle call and no branch. With
+    reuses that node's result with no oracle call and no branch. A branch
+    builds children only for the values ``oracle.branch_values`` names; a
+    dropped value has no matching completion, so it adds no term. With
     ``record`` set, every evaluated node is appended to the returned list in
-    post-order as ``(value, k, below)``: for a branch on k, ``below`` holds
-    the children's node indices in value order; for a leaf k is None and
-    ``below`` holds the free indices of a true leaf, nothing for a false
-    one. The root comes last. Without ``record``, nothing per node outlives
-    its branch unless the oracle has a key.
+    post-order as ``(value, k, below)``: for a branch on k, ``below`` pairs
+    each visited value with its child's node index, in value order; for a
+    leaf k is None and ``below`` holds the free indices of a true leaf,
+    nothing for a false one. The root comes last. Without ``record``,
+    nothing per node outlives its branch unless the oracle has a key.
 
     The search is a loop over a path of frames, one per open branch. A
     leaf's or a memo hit's ``(value, index)`` is handed up the path, adding
@@ -141,7 +143,7 @@ def _search(
             memo[key] = result
         return result
 
-    # one frame per open branch: [v, key, k, row, value so far, child indices]
+    # one frame per open branch: [v, key, k, row, values, value so far, child indices]
     path: list = []
     v = valuation
     key = None
@@ -158,8 +160,11 @@ def _search(
             if answer is None:
                 stats.branch_nodes += 1
                 k = _checked_choice(order, v)
-                path.append([v, key, k, probs[k], 0.0, []])
-                v = v.assign(k, 0)
+                row = probs[k]
+                ys = oracle.branch_values(v, k, o, len(row))
+                stats.pruned += len(row) - len(ys)
+                path.append([v, key, k, row, ys, 0.0, []])
+                v = v.assign(k, ys[0])
                 continue
             if answer == 1:
                 stats.leaves_true += 1
@@ -170,15 +175,15 @@ def _search(
         # hand the result up until some frame has a child left
         while path:
             frame = path[-1]
-            row, below = frame[3], frame[5]
-            y = len(below)
-            frame[4] += row[y] * result[0]
+            ys, below = frame[4], frame[6]
+            j = len(below)
+            frame[5] += frame[3][ys[j]] * result[0]
             below.append(result[1])
-            if y + 1 < len(row):
-                v = frame[0].assign(frame[2], y + 1)
+            if j + 1 < len(ys):
+                v = frame[0].assign(frame[2], ys[j + 1])
                 break
             path.pop()
-            result = finish(frame[4], frame[2], below, frame[1])
+            result = finish(frame[5], frame[2], tuple(zip(ys, below)) if record else (), frame[1])
         else:
             break
     value = result[0]
@@ -197,10 +202,11 @@ def dpnl(
 
     Each node queries the oracle: a decided verdict contributes 1 or 0, an
     undecided one branches on an unassigned variable k and sums
-    ``P(X_k = y) * subtree(y)`` over its domain in ascending value order.
-    Sub-problems with equal residual keys are solved once. If the
-    conditioning event has probability zero the conditional is
-    mathematically undefined and the plain search value is returned as is.
+    ``P(X_k = y) * subtree(y)`` in ascending value order, over its domain
+    or over the values the oracle's ``viable`` hook names. Sub-problems
+    with equal residual keys are solved once. If the conditioning event has
+    probability zero the conditional is mathematically undefined and the
+    plain search value is returned as is.
     """
     value, stats, _ = _search(inst, o, oracle, valuation, order, record=False)
     return value, stats
@@ -290,7 +296,8 @@ def dpnl_gradient(
     post-order, parents before children: a node's adjoint is the derivative
     of the value with respect to its own value, and a branch on k gives
     ``partials[k][y]`` its adjoint times child y's value and passes its
-    adjoint times ``P(X_k = y)`` down to that child. A true leaf still
+    adjoint times ``P(X_k = y)`` down to that child; a value the oracle's
+    ``viable`` hook dropped has value 0 and gets nothing. A true leaf still
     depends on its free variables' entries, because its polynomial is the
     product of their table sums; every row is normalised, so each free
     variable's entries get the leaf's adjoint.
@@ -307,7 +314,7 @@ def dpnl_gradient(
         if k is not None:
             row = probs[k]
             grad_row = partials[k]
-            for y, child in enumerate(below):
+            for y, child in below:
                 grad_row[y] += weight * nodes[child][0]
                 adjoint[child] += weight * row[y]
         else:

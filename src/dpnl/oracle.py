@@ -16,6 +16,7 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from .core import (
     Domain,
+    InvalidInstanceError,
     OracleVerdict,
     SizeLimitError,
     Valuation,
@@ -60,22 +61,43 @@ class Oracle:
     completions, so the same conditional value and the same partials for
     any tables; valuations none of whose completions match may share a key
     whatever their free variables.
+
+    ``viable``, if given, maps (valuation, k, output), for a free variable
+    k, to the values of k whose child may still match, in ascending order,
+    or to None for all of them. A value it leaves out must have no matching
+    completion through it: a branch then builds no child for it (forward
+    checking), which changes no value.
     """
 
-    __slots__ = ("fn", "name", "residual_key")
+    __slots__ = ("fn", "name", "residual_key", "viable")
 
     def __init__(
         self,
         fn: Callable[[Valuation, int], OracleVerdict],
         name: str = "",
         residual_key: Optional[Callable[[Valuation, int], Hashable]] = None,
+        viable: Optional[Callable[[Valuation, int, int], Optional[Sequence[int]]]] = None,
     ):
         self.fn = fn
         self.name = name
         self.residual_key = residual_key
+        self.viable = viable
 
     def __call__(self, v: Valuation, o: int) -> OracleVerdict:
         return self.fn(v, o)
+
+    def branch_values(self, v: Valuation, k: int, o: int, size: int) -> Sequence[int]:
+        """The values ``0..size-1`` of free variable k that a branch visits:
+        all of them, unless ``viable`` names some. An empty, unsorted or
+        out-of-range answer raises ``InvalidInstanceError``."""
+        ys = None if self.viable is None else self.viable(v, k, o)
+        if ys is None:
+            return range(size)
+        if not ys or ys[0] < 0 or ys[-1] >= size or any(a >= b for a, b in zip(ys, ys[1:])):
+            raise InvalidInstanceError(
+                "viable values %r of variable %d are not ascending in 0..%d" % (ys, k, size - 1)
+            )
+        return ys
 
     def __repr__(self) -> str:
         return "Oracle(%s)" % (self.name or "fn")
@@ -132,11 +154,16 @@ def _truth(v: Valuation, o: int, sfn: SymbolicFunction) -> Optional[int]:
 
 @dataclass
 class CheckReport:
-    """Outcome of a validity or completeness check."""
+    """Outcome of a validity or completeness check.
+
+    ``dropped`` counts the values that the oracle's ``viable`` answers left
+    out and the validity check confirmed.
+    """
 
     passed: bool
     checked: int
     counterexample: Optional[tuple[Valuation, int, Optional[int], str]] = None
+    dropped: int = 0
 
     def __bool__(self) -> bool:
         return self.passed
@@ -166,9 +193,11 @@ def _probe(
     exhaustive: bool,
     p_unknown: float,
     verify: Callable[[OracleVerdict, Valuation, int, SymbolicFunction], Optional[str]],
+    check_viable: bool = False,
 ) -> CheckReport:
     """Query the oracle on each trial and stop at the first verdict that
-    ``verify`` rejects.
+    ``verify`` rejects, or with ``check_viable``, at the first ``viable``
+    answer that ``_verify_viable`` rejects.
 
     Trials are ``budget`` random (valuation, output) pairs, each cell left
     unassigned with probability ``p_unknown``, or every pair with
@@ -192,7 +221,7 @@ def _probe(
                     sfn.output_domain.size
                 )
 
-    checked = 0
+    checked = dropped = 0
     for v, o in trials():
         if completion_count(v, sfn.domains) > COMPLETION_GUARD:
             if exhaustive:
@@ -201,9 +230,12 @@ def _probe(
         verdict = oracle(v, o)
         checked += 1
         problem = verify(verdict, v, o, sfn)
+        if problem is None and check_viable:
+            count, problem = _verify_viable(oracle, verdict, v, o, sfn)
+            dropped += count
         if problem is not None:
-            return CheckReport(False, checked, (v, o, verdict.answer, problem))
-    return CheckReport(True, checked)
+            return CheckReport(False, checked, (v, o, verdict.answer, problem), dropped)
+    return CheckReport(True, checked, None, dropped)
 
 
 def _verify_verdict(
@@ -220,6 +252,34 @@ def _verify_verdict(
             answer, "undecided" if truth is None else truth
         )
     return None
+
+
+def _verify_viable(
+    oracle: Oracle, verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
+) -> tuple[int, Optional[str]]:
+    """Check the oracle's ``viable`` answer for every free variable of ``v``
+    at once: one pass over the completions finds any matching completion
+    that takes a dropped value. A verdict of 0, already checked, means no
+    completion matches. Returns the number of dropped values and the
+    problem, None if fine."""
+    drops = {}
+    for k in v.free_indices():
+        size = sfn.domains[k].size
+        try:
+            kept = oracle.branch_values(v, k, o, size)
+        except InvalidInstanceError as err:
+            return 0, str(err)
+        if len(kept) < size:
+            drops[k] = set(range(size)).difference(kept)
+    count = sum(len(ys) for ys in drops.values())
+    if not drops or verdict.answer == 0:
+        return count, None
+    for w in total_completions(v, sfn.domains):
+        if sfn.fn(w.cells) == o:
+            for k, ys in drops.items():
+                if w.cells[k] in ys:
+                    return count, "viable drops X%d = %d, but %r matches" % (k, w.cells[k], w)
+    return count, None
 
 
 def _verify_undecided(
@@ -245,11 +305,15 @@ def check_validity(
 
     Samples ``budget`` random (valuation, output) pairs (or enumerates all of
     them with ``exhaustive=True``) and, for every decided answer, verifies the
-    decision against every total completion. Valuations with more completions
-    than ``COMPLETION_GUARD`` are skipped in sampling mode and refused in
-    exhaustive mode.
+    decision against every total completion. If the oracle has a ``viable``
+    hook, each pair also checks its answer for every free variable: no
+    matching completion may take a dropped value. Valuations with more
+    completions than ``COMPLETION_GUARD`` are skipped in sampling mode and
+    refused in exhaustive mode.
     """
-    return _probe(oracle, sfn, budget, seed, exhaustive, 0.4, _verify_verdict)
+    return _probe(
+        oracle, sfn, budget, seed, exhaustive, 0.4, _verify_verdict, oracle.viable is not None
+    )
 
 
 def check_completeness(

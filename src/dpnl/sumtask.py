@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -163,6 +163,31 @@ def _residual_key(v: Valuation, r: int, n: int) -> Hashable:
     return (i, carry, cells[: i + 1], cells[n : n + i + 1])
 
 
+def _viable_digits(v: Valuation, k: int, r: int, n: int) -> Optional[tuple[int]]:
+    """The digits of free variable k that may still sum to ``r``, or None
+    for all ten.
+
+    Let i be the first position with a free digit, scanning from the units,
+    and c the carry into it. If k is one digit of position i and the other
+    digit b is assigned, only ``(digits[i + 1] - b - c) % 10`` gives
+    position i its result digit.
+    """
+    digits = _result_digits(r, n)
+    cells = v.cells
+    i, carry = _scan_assigned(cells, digits, n)
+    if carry < 0 or i < 0:
+        return None
+    if k == i:
+        b = cells[n + i]
+    elif k == n + i:
+        b = cells[i]
+    else:
+        return None
+    if b is None:
+        return None
+    return ((digits[i + 1] - b - carry) % 10,)
+
+
 def right_to_left_order(n: int) -> VariableOrder:
     """Fixed order pairing digit positions from least to most significant.
 
@@ -221,7 +246,10 @@ def sum_oracle(n: int) -> Oracle:
     def key(v: Valuation, o: int) -> Hashable:
         return _residual_key(v, o, n)
 
-    return Oracle(query, name="addition%d" % n, residual_key=key)
+    def viable(v: Valuation, k: int, o: int) -> Optional[tuple[int]]:
+        return _viable_digits(v, k, o, n)
+
+    return Oracle(query, name="addition%d" % n, residual_key=key, viable=viable)
 
 
 def build_sum_instance(spec: SumInstanceSpec) -> tuple[Instance, SymbolicFunction, Oracle]:

@@ -160,12 +160,20 @@ def test_c04a_addition_oracle_validity():
     report = check_validity(oracle1, sfn1, exhaustive=True)
     assert report.passed, report.counterexample
     assert report.checked == 11 * 11 * 20  # every (valuation, output) pair
+    # the viable hook's dropped digits are checked too: 20 valuations with
+    # one digit free, 20 outputs, 9 digits dropped each
+    assert report.dropped == 20 * 20 * 9
 
     sfn2 = sum_function(2)
     _, _, oracle2 = build_sum_instance(SumInstanceSpec.uniform(2))
     report2 = check_validity(oracle2, sfn2, budget=10**5, seed=404)
     assert report2.passed, report2.counterexample
-    _ok("4a", "N=1 exhaustive (%d pairs) and N=2 with %d samples" % (report.checked, report2.checked))
+    assert report2.dropped > 0
+    _ok(
+        "4a",
+        "N=1 exhaustive (%d pairs, %d dropped digits) and N=2 with %d samples (%d dropped digits)"
+        % (report.checked, report.dropped, report2.checked, report2.dropped),
+    )
 
 
 def test_c04b_addition_oracle_r2l_completeness():

@@ -29,6 +29,7 @@ from dpnl import (
     fresh_valuation,
     naive_oracle,
     right_to_left_order,
+    total_completions,
 )
 from dpnl.approx import _Frontier, _StepLimit
 from conftest import random_digit_rows, random_table_instance, table_residual_key
@@ -236,7 +237,10 @@ def test_merging_equal_keys_keeps_values_and_saves_calls():
 
 def test_step_limit_counts_iterations_not_merges():
     rng = random.Random(62)
-    inst, oracle, order = sum_setup(rng, n=2)
+    inst, hooked, order = sum_setup(rng, n=2)
+    # without the viable hook the first five steps queue children that merge;
+    # with it those children are dropped before they are built
+    oracle = Oracle(hooked.fn, residual_key=hooked.residual_key)
     for heuristic in HEURISTICS:
         snaps = bound_trace(inst, 63, oracle, heuristic, max_steps=5, order=order)
         assert [snap.iteration for snap in snaps] == list(range(6))
@@ -245,6 +249,8 @@ def test_step_limit_counts_iterations_not_merges():
         assert trace == snaps
         assert stats.oracle_calls == 5
         assert stats.cache_hits > 0
+        _, hooked_stats = approx_dpnl(inst, 63, hooked, _StepLimit(5), heuristic, order=order)
+        assert hooked_stats.pruned > 0
 
 
 def drift_instance(rng, m):
@@ -320,6 +326,40 @@ def test_bounds_certified_in_floating_point():
         for snap in snaps:
             assert Fraction(snap.bounds.low) <= exact <= Fraction(snap.bounds.up)
         assert snaps[-1].bounds.gap <= 1e-12
+
+
+def table_viable(sfn):
+    """Viable hook of a table function: the values of k through which some
+    completion still maps to the output, or None for all of them."""
+
+    def viable(v, k, o):
+        ys = tuple(
+            y
+            for y in range(sfn.domains[k].size)
+            if any(sfn.fn(w.cells) == o for w in total_completions(v.assign(k, y), sfn.domains))
+        )
+        return ys if ys and len(ys) < sfn.domains[k].size else None
+
+    return viable
+
+
+def test_dropped_children_keep_bounds_certified():
+    # a dropped child's mass leaves up with a false leaf's margin and
+    # outward rounding, so the bounds still hold in exact arithmetic
+    rng = random.Random(64)
+    pruned = 0
+    for _ in range(200):
+        inst, sfn, exact = drift_instance(rng, 3)
+        oracle = Oracle(naive_oracle(sfn).fn, viable=table_viable(sfn))
+        for o in range(4):
+            for heuristic in HEURISTICS:
+                snaps = []
+                _, stats = approx_dpnl(inst, o, oracle, Exhaustive(), heuristic, trace=snaps)
+                pruned += stats.pruned
+                for snap in snaps:
+                    assert Fraction(snap.bounds.low) <= exact[o] <= Fraction(snap.bounds.up)
+                assert snaps[-1].bounds.gap <= 1e-12
+    assert pruned > 0
 
 
 def test_max_probability_reprioritises_merged_entries():

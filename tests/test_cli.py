@@ -22,6 +22,7 @@ REPORT_KEYS = [
     "cache_hits",
     "wall_time_s",
     "seed",
+    "pruned",
 ]
 
 
@@ -101,7 +102,10 @@ def test_sum_report_counts_cache_hits(capsys, tmp_path):
     assert abs(data["result"] - 1e-3) <= 1e-12
     assert data["cache_hits"] > 0
     assert data["oracle_calls"] < 100
-    assert "cache_hits=%d " % data["cache_hits"] in capsys.readouterr().out
+    assert data["pruned"] > 0
+    out = capsys.readouterr().out
+    assert "cache_hits=%d " % data["cache_hits"] in out
+    assert "pruned=%d " % data["pruned"] in out
 
 
 def test_sum_full_distribution(capsys, tmp_path):
@@ -218,7 +222,10 @@ def test_approx_report_counts_merges_as_cache_hits(capsys, tmp_path):
     assert list(data.keys()) == REPORT_KEYS
     assert data["low"] <= 0.0064 <= data["up"]
     assert data["cache_hits"] > 0
-    assert "cache_hits=%d " % data["cache_hits"] in capsys.readouterr().out
+    assert data["pruned"] > 0
+    out = capsys.readouterr().out
+    assert "cache_hits=%d " % data["cache_hits"] in out
+    assert "pruned=%d " % data["pruned"] in out
 
 
 def test_approx_missing_eps_is_usage_error(capsys):

@@ -119,7 +119,7 @@ def test_instance_validation():
         Instance([], Domain(2))
     inst = Instance([[1.0, 3.0]], Domain(2))
     assert inst.m == 1
-    assert inst.prob(0, 1) == 0.75
+    assert inst.probs[0][1] == 0.75
 
 
 def test_verdict_answer_must_be_ternary():

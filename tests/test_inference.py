@@ -52,7 +52,7 @@ def test_dpnl_total_valuation_is_certain(uniform1):
 def test_dpnl_conditional_on_partial(uniform1):
     inst, _, oracle = uniform1
     value, _ = dpnl(inst, 8, oracle, valuation=Valuation([3, None]))
-    assert abs(value - inst.prob(1, 5)) <= 1e-12
+    assert abs(value - inst.probs[1][5]) <= 1e-12
 
 
 def test_start_valuation_outside_domain_rejected(uniform1):
@@ -192,8 +192,8 @@ def test_gradient_forced_product():
     inst, _, oracle = build_sum_instance(SumInstanceSpec.uniform(1))
     grad, _ = dpnl_gradient(inst, 0, oracle, order=right_to_left_order(1))
     # P(sum = 0) = p1(0) * p2(0), so each partial is the other factor
-    assert abs(grad.partials[0][0] - inst.prob(1, 0)) <= 1e-12
-    assert abs(grad.partials[1][0] - inst.prob(0, 0)) <= 1e-12
+    assert abs(grad.partials[0][0] - inst.probs[1][0]) <= 1e-12
+    assert abs(grad.partials[1][0] - inst.probs[0][0]) <= 1e-12
 
 
 def test_gradient_matches_finite_differences():
@@ -319,3 +319,17 @@ def test_residual_key_cache_matches_keyless_and_bruteforce():
                         for a, n in zip(row_a, row_n):
                             assert abs(a - n) / max(1.0, abs(a), abs(n)) <= 1e-6
     assert hits > 0
+
+
+def test_bad_viable_answer_rejected(uniform1):
+    inst, _, oracle = uniform1
+    for bad in ((), (3, 1), (2, 2), (10,), (-1, 4)):
+        broken = Oracle(oracle.fn, viable=lambda v, k, o, bad=bad: bad)
+        runs = [
+            lambda: dpnl(inst, 4, broken),
+            lambda: dpnl_gradient(inst, 4, broken),
+            lambda: approx_dpnl(inst, 4, broken, Exhaustive(), MaxProbability()),
+        ]
+        for run in runs:
+            with pytest.raises(InvalidInstanceError):
+                run()

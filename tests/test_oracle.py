@@ -13,6 +13,7 @@ from dpnl import (
     fresh_valuation,
     naive_oracle,
     sum_function,
+    sum_oracle,
     total_completions,
 )
 from conftest import random_table_instance
@@ -111,3 +112,21 @@ def test_check_completeness(add1):
 def test_check_validity_budget_validation(add1):
     with pytest.raises(ValueError):
         check_validity(naive_oracle(add1), add1, budget=0)
+
+
+def test_check_validity_catches_unsound_viable(add1):
+    oracle = sum_oracle(1)
+    # a hook that keeps only digit 0 drops digits some completion needs
+    greedy = Oracle(oracle.fn, viable=lambda v, k, o: (0,))
+    report = check_validity(greedy, add1, exhaustive=True)
+    assert not report.passed
+    v, o, _, reason = report.counterexample
+    assert "viable drops" in reason
+    assert any(
+        add1.fn(w.cells) == o and w.cells[k] != 0
+        for w in total_completions(v, add1.domains)
+        for k in v.free_indices()
+    )
+    report = check_validity(Oracle(oracle.fn, viable=lambda v, k, o: ()), add1, budget=50)
+    assert not report.passed
+    assert "not ascending" in report.counterexample[3]

@@ -3,12 +3,19 @@ import random
 import pytest
 
 from dpnl import (
+    EpsAdditive,
+    Exhaustive,
+    Fifo,
     InvalidInstanceError,
+    MaxProbability,
+    Oracle,
+    RandomChoice,
     SequentialOrder,
     SumInstanceSpec,
     Valuation,
     addition,
     addition_oracle,
+    approx_dpnl,
     build_sum_instance,
     check_completeness,
     check_validity,
@@ -19,6 +26,7 @@ from dpnl import (
     right_to_left_order,
     sum_distribution_reference,
     sum_function,
+    sum_oracle,
     total_completions,
 )
 from conftest import random_digit_rows
@@ -212,3 +220,73 @@ def test_keyed_search_counts_n8():
     assert abs(value - 1e-8) <= 1e-12 * 1e-8
     assert stats.oracle_calls <= 200
     assert stats.cache_hits > 0
+
+
+def hook_cases():
+    """Seeded sum instances at n=2 and n=3 under the right-to-left, identity
+    and a random order, with sampled labels, the sum oracle and the same
+    oracle without its viable hook."""
+    rng = random.Random(131)
+    for n in (2, 3):
+        rows = random_digit_rows(rng, n)
+        spec = SumInstanceSpec(n, rows)
+        inst, _, hooked = build_sum_instance(spec)
+        plain = Oracle(hooked.fn, residual_key=hooked.residual_key)
+        labels = [addition([rng.choices(range(10), row)[0] for row in rows]) for _ in range(3)]
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        reference = sum_distribution_reference(spec)
+        for order in (right_to_left_order(n), SequentialOrder(), SequentialOrder(perm)):
+            yield inst, hooked, plain, order, labels, reference
+
+
+def test_viable_digits_rule():
+    oracle = sum_oracle(2)
+    # 2? + ?5 = 63: position 1 needs 8 (3 = 8 + 5 mod 10), carry 1 into position 0
+    v = Valuation([2, None, None, 5])
+    assert oracle.viable(v, 1, 63) == (8,)
+    assert oracle.viable(v, 2, 63) is None  # not a digit of the first free position
+    # ?8 + 35: 8 + 5 carries 1 into position 0, whose 6 needs 2 + 3 + 1
+    assert oracle.viable(Valuation([None, 8, 3, 5]), 0, 63) == (2,)
+    assert oracle.viable(Valuation([2, 8, None, 5]), 2, 63) == (3,)
+    assert oracle.viable(Valuation([2, None, 3, None]), 1, 63) is None  # both free
+    assert oracle.viable(Valuation([2, 7, None, 5]), 2, 63) is None  # units mismatch
+
+
+def test_viable_hook_keeps_values_and_partials_bitwise():
+    for inst, hooked, plain, order, labels, reference in hook_cases():
+        for o in labels:
+            value, stats = dpnl(inst, o, hooked, order=order)
+            plain_value, plain_stats = dpnl(inst, o, plain, order=order)
+            assert value == plain_value, (order, o)
+            assert abs(value - reference[o]) <= 1e-10
+            assert stats.oracle_calls + stats.cache_hits < plain_stats.oracle_calls + plain_stats.cache_hits
+            assert stats.branch_nodes <= plain_stats.branch_nodes
+            assert stats.pruned > 0 and plain_stats.pruned == 0
+            grad, grad_stats = dpnl_gradient(inst, o, hooked, order=order)
+            plain_grad, _ = dpnl_gradient(inst, o, plain, order=order)
+            assert grad.value == value
+            assert grad.partials == plain_grad.partials, (order, o)
+            assert grad_stats.pruned == stats.pruned
+
+
+def test_viable_hook_keeps_output_distribution_bitwise():
+    inst, hooked, plain, order, _, _ = next(hook_cases())
+    dist, stats = output_distribution(inst, hooked, order=order)
+    plain_dist, plain_stats = output_distribution(inst, plain, order=order)
+    assert dist == plain_dist
+    assert stats.pruned > 0
+    assert stats.oracle_calls + stats.cache_hits < plain_stats.oracle_calls + plain_stats.cache_hits
+
+
+def test_viable_hook_keeps_anytime_bounds():
+    for inst, hooked, _, order, labels, _ in hook_cases():
+        for o in labels:
+            exact, _ = dpnl(inst, o, hooked, order=order)
+            for heuristic in (MaxProbability(), Fifo(), RandomChoice(77)):
+                bounds, stats = approx_dpnl(inst, o, hooked, EpsAdditive(0.01), heuristic, order=order)
+                assert bounds.low - 1e-12 <= exact <= bounds.up + 1e-12, (order, o, heuristic)
+                assert stats.pruned > 0
+                bounds, _ = approx_dpnl(inst, o, hooked, Exhaustive(), heuristic, order=order)
+                assert abs(bounds.low - exact) <= 1e-10
+                assert abs(bounds.up - exact) <= 1e-10
