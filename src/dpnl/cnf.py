@@ -24,9 +24,10 @@ class CnfFormula:
     """Clause set over binary variables.
 
     Literals use the DIMACS convention: ``+(v+1)`` for variable ``v`` positive,
-    ``-(v+1)`` negated. Clauses are deduplicated and tautological clauses
-    (containing both X and not-X) are dropped at construction, so "no clauses"
-    and "contains the empty clause" are O(1) states.
+    ``-(v+1)`` negated. At construction, repeated literals within a clause
+    are dropped and so are tautological clauses (containing both X and
+    not-X), so "no clauses" and "contains the empty clause" are O(1) states.
+    Duplicate clauses are kept, and each counts in ``probdpll``'s pick.
     """
 
     __slots__ = ("num_vars", "clauses", "has_empty_clause")
@@ -231,14 +232,74 @@ def condition(g: CnfFormula, var: int, value: bool) -> CnfFormula:
     return out
 
 
-def _pick_branch_variable(g: CnfFormula) -> int:
-    counts: dict[int, int] = {}
-    for clause in g.clauses:
-        for lit in clause:
-            var = abs(lit) - 1
-            counts[var] = counts.get(var, 0) + 1
-    # highest occurrence count, lowest index on ties
-    return min(counts, key=lambda v: (-counts[v], v))
+class _ClauseState:
+    """The clauses of one ``probdpll`` call under the current assignment.
+
+    Holds, built once: the variables of each clause and, per variable, the
+    clauses that hold it positive and those that hold it negated. Kept
+    incrementally: per clause a satisfied flag and its count of unassigned
+    literals; per unassigned variable its occurrences in unsatisfied
+    clauses; the counts of unsatisfied and of empty clauses. A clause that
+    is neither satisfied nor has a live literal is empty. An assigned
+    variable's count is 0 or less, so the pick never takes it.
+    """
+
+    __slots__ = ("clause_vars", "pos", "neg", "sat", "live", "occ", "unsat", "empty")
+
+    def __init__(self, g: CnfFormula):
+        n = g.num_vars
+        self.clause_vars = [tuple(abs(lit) - 1 for lit in clause) for clause in g.clauses]
+        self.pos: list[list[int]] = [[] for _ in range(n)]
+        self.neg: list[list[int]] = [[] for _ in range(n)]
+        self.occ = [0] * n
+        for c, clause in enumerate(g.clauses):
+            for lit in clause:
+                var = abs(lit) - 1
+                (self.pos if lit > 0 else self.neg)[var].append(c)
+                self.occ[var] += 1
+        self.sat = [False] * len(g.clauses)
+        self.live = [len(clause) for clause in g.clauses]
+        self.unsat = len(g.clauses)
+        self.empty = self.live.count(0)
+
+    def pick(self) -> int:
+        """The variable with the most occurrences in unsatisfied clauses,
+        lowest index on ties."""
+        return self.occ.index(max(self.occ))
+
+    def assign(self, var: int, value: bool) -> list[int]:
+        """Fix ``var`` to ``value``; returns the clauses it newly satisfied."""
+        sat, occ, live = self.sat, self.occ, self.live
+        newly = []
+        for c in (self.pos if value else self.neg)[var]:
+            if not sat[c]:
+                sat[c] = True
+                newly.append(c)
+                for u in self.clause_vars[c]:
+                    occ[u] -= 1
+        self.unsat -= len(newly)
+        for c in (self.neg if value else self.pos)[var]:
+            live[c] -= 1
+            if not sat[c]:
+                occ[var] -= 1
+                if not live[c]:
+                    self.empty += 1
+        return newly
+
+    def undo(self, var: int, value: bool, newly: list[int]) -> None:
+        """Take back ``assign(var, value)``, which returned ``newly``."""
+        sat, occ, live = self.sat, self.occ, self.live
+        for c in (self.neg if value else self.pos)[var]:
+            if not sat[c]:
+                occ[var] += 1
+                if not live[c]:
+                    self.empty -= 1
+            live[c] += 1
+        for c in reversed(newly):
+            sat[c] = False
+            for u in self.clause_vars[c]:
+                occ[u] += 1
+        self.unsat += len(newly)
 
 
 def probdpll(
@@ -248,16 +309,20 @@ def probdpll(
 ) -> float:
     """Exact probabilistic weighted model count by DPLL-style splitting.
 
-    Returns 1 with no clauses, 0 on an empty clause, and otherwise splits on
-    the occurring variable X with the most occurrences (the usual DPLL
-    default; lowest index on ties):
+    Returns 1 with no unsatisfied clause, 0 on an empty clause, and
+    otherwise splits on the variable X with the most occurrences in the
+    unsatisfied clauses (the usual DPLL default; lowest index on ties):
 
         sigma(X) * count(g | X=1)  +  (1 - sigma(X)) * count(g | X=0)
 
     No unit propagation or pure-literal elimination: plain splitting is the
     reference behaviour that the tests pin down. The splits are walked on
     an explicit path of frames (variable, value of the X=1 branch once
-    known, formula), so a deep but easy formula needs no call stack.
+    known, clauses the current branch satisfied), so a deep but easy formula needs no call stack. One clause
+    state serves the whole walk: a split assigns X in it and the frame's
+    clause list undoes that, so no formula is copied or rescanned. The
+    splits, their order and the arithmetic are those of a recursion on
+    ``condition``-ed copies of ``g``.
     The counts and the elapsed time are added to ``stats``.
     """
     if len(sigma) < g.num_vars:
@@ -265,31 +330,33 @@ def probdpll(
     if stats is None:
         stats = QueryStats()
     start = time.perf_counter()
+    state = _ClauseState(g)
     path: list[list] = []
-    f = g
     while True:
         stats.oracle_calls += 1
-        if f.is_empty:
+        if not state.unsat:
             stats.leaves_true += 1
             value = 1.0
-        elif f.has_empty_clause:
+        elif state.empty:
             stats.leaves_false += 1
             value = 0.0
         else:
             stats.branch_nodes += 1
-            var = _pick_branch_variable(f)
-            path.append([var, None, f])
-            f = condition(f, var, True)
+            var = state.pick()
+            path.append([var, None, state.assign(var, True)])
             continue
         # hand the value up until some frame still has its X=0 branch to run
         while path:
             frame = path[-1]
+            var = frame[0]
             if frame[1] is None:
                 frame[1] = value
-                f = condition(frame[2], frame[0], False)
+                state.undo(var, True, frame[2])
+                frame[2] = state.assign(var, False)
                 break
             path.pop()
-            p = sigma[frame[0]]
+            state.undo(var, False, frame[2])
+            p = sigma[var]
             value = p * frame[1] + (1.0 - p) * value
         else:
             stats.wall_time += time.perf_counter() - start

@@ -102,16 +102,15 @@ def total_completions(v: Valuation, domains: Sequence[Domain]) -> Iterator[Valua
         raise InvalidInstanceError(
             "valuation length %d does not match %d domains" % (len(v), len(domains))
         )
-    free = v.free_indices()
-    # itertools.product varies its last axis fastest, so feed the free cells
-    # reversed and un-reverse each combination.
-    axes = [range(domains[k].size) for k in reversed(free)]
-    base = list(v.cells)
+    # itertools.product varies its last axis fastest, so feed the cells
+    # reversed, an assigned cell as a one-value axis, and un-reverse each
+    # combination.
+    axes = [
+        range(dom.size) if c is None else (c,)
+        for c, dom in zip(reversed(v.cells), reversed(domains))
+    ]
     for combo in itertools.product(*axes):
-        cells = base[:]
-        for k, value in zip(free, reversed(combo)):
-            cells[k] = value
-        yield Valuation(cells)
+        yield Valuation(combo[::-1])
 
 
 def completion_count(v: Valuation, domains: Sequence[Domain]) -> int:

@@ -141,15 +141,28 @@ def exhaustive_oracle(sfn: SymbolicFunction) -> Oracle:
 def _truth(v: Valuation, o: int, sfn: SymbolicFunction) -> Optional[int]:
     """1 if every total completion of ``v`` maps to ``o``, 0 if none does,
     None as soon as one completion of each kind has been seen."""
+    return _scan(v, o, sfn, {})[0]
+
+
+def _scan(
+    v: Valuation, o: int, sfn: SymbolicFunction, drops: dict[int, set[int]]
+) -> tuple[Optional[int], Optional[Valuation]]:
+    """One walk over the total completions of ``v``: the truth, as in
+    ``_truth``, and the first completion mapping to ``o`` that gives some
+    variable k a value in ``drops[k]``, None if there is none. Stops once
+    both are known."""
     agree = disagree = False
+    hit = None
     for w in total_completions(v, sfn.domains):
         if sfn.fn(w.cells) == o:
             agree = True
+            if drops and hit is None and any(w.cells[k] in ys for k, ys in drops.items()):
+                hit = w
         else:
             disagree = True
-        if agree and disagree:
-            return None
-    return 0 if disagree else 1
+        if agree and disagree and (hit is not None or not drops):
+            return None, hit
+    return (None if agree and disagree else 0 if disagree else 1), hit
 
 
 @dataclass
@@ -192,12 +205,13 @@ def _probe(
     seed: int,
     exhaustive: bool,
     p_unknown: float,
-    verify: Callable[[OracleVerdict, Valuation, int, SymbolicFunction], Optional[str]],
-    check_viable: bool = False,
+    verify: Callable[
+        [Oracle, OracleVerdict, Valuation, int, SymbolicFunction], tuple[int, Optional[str]]
+    ],
 ) -> CheckReport:
     """Query the oracle on each trial and stop at the first verdict that
-    ``verify`` rejects, or with ``check_viable``, at the first ``viable``
-    answer that ``_verify_viable`` rejects.
+    ``verify`` rejects. ``verify`` returns the number of values that the
+    oracle's ``viable`` answers dropped and the problem, None if fine.
 
     Trials are ``budget`` random (valuation, output) pairs, each cell left
     unassigned with probability ``p_unknown``, or every pair with
@@ -229,69 +243,64 @@ def _probe(
             continue
         verdict = oracle(v, o)
         checked += 1
-        problem = verify(verdict, v, o, sfn)
-        if problem is None and check_viable:
-            count, problem = _verify_viable(oracle, verdict, v, o, sfn)
-            dropped += count
+        count, problem = verify(oracle, verdict, v, o, sfn)
+        dropped += count
         if problem is not None:
             return CheckReport(False, checked, (v, o, verdict.answer, problem), dropped)
     return CheckReport(True, checked, None, dropped)
 
 
-def _verify_verdict(
-    verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
-) -> Optional[str]:
-    """Check a decided verdict, or any verdict on a total valuation,
-    against the completions; None if fine."""
-    answer = verdict.answer
-    if answer is None and not v.is_total:
-        return None
-    truth = _truth(v, o, sfn)
-    if answer != truth:
-        return "answered %r but the completions say %s" % (
-            answer, "undecided" if truth is None else truth
-        )
-    return None
-
-
-def _verify_viable(
+def _verify_valid(
     oracle: Oracle, verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
 ) -> tuple[int, Optional[str]]:
-    """Check the oracle's ``viable`` answer for every free variable of ``v``
-    at once: one pass over the completions finds any matching completion
-    that takes a dropped value. A verdict of 0, already checked, means no
-    completion matches. Returns the number of dropped values and the
-    problem, None if fine."""
-    drops = {}
-    for k in v.free_indices():
-        size = sfn.domains[k].size
-        try:
-            kept = oracle.branch_values(v, k, o, size)
-        except InvalidInstanceError as err:
-            return 0, str(err)
-        if len(kept) < size:
-            drops[k] = set(range(size)).difference(kept)
+    """Check a decided verdict, or any verdict on a total valuation,
+    against the completions. With a ``viable`` hook, also check its answer
+    for every free variable of ``v``: no matching completion may take a
+    dropped value. A verdict of 0, checked first, means no completion
+    matches. One walk over the completions serves both checks. Returns the
+    number of dropped values and the problem, None if fine; a verdict
+    problem comes first and counts no dropped value."""
+    answer = verdict.answer
+    drops: dict[int, set[int]] = {}
+    invalid = None
+    if oracle.viable is not None:
+        for k in v.free_indices():
+            size = sfn.domains[k].size
+            try:
+                kept = oracle.branch_values(v, k, o, size)
+            except InvalidInstanceError as err:
+                invalid = str(err)
+                drops = {}
+                break
+            if len(kept) < size:
+                drops[k] = set(range(size)).difference(kept)
     count = sum(len(ys) for ys in drops.values())
-    if not drops or verdict.answer == 0:
-        return count, None
-    for w in total_completions(v, sfn.domains):
-        if sfn.fn(w.cells) == o:
-            for k, ys in drops.items():
-                if w.cells[k] in ys:
-                    return count, "viable drops X%d = %d, but %r matches" % (k, w.cells[k], w)
-    return count, None
+    if answer == 0:
+        drops = {}
+    decided = answer is not None or v.is_total
+    if not decided and not drops:
+        return count, invalid
+    truth, hit = _scan(v, o, sfn, drops)
+    if decided and answer != truth:
+        return 0, "answered %r but the completions say %s" % (
+            answer, "undecided" if truth is None else truth
+        )
+    if hit is None:
+        return count, invalid
+    k = next(k for k, ys in drops.items() if hit.cells[k] in ys)
+    return count, "viable drops X%d = %d, but %r matches" % (k, hit.cells[k], hit)
 
 
 def _verify_undecided(
-    verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
-) -> Optional[str]:
+    oracle: Oracle, verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
+) -> tuple[int, Optional[str]]:
     """Check that an undecided verdict has completions of both kinds; None if fine."""
     if verdict.answer is not None:
-        return None
+        return 0, None
     truth = _truth(v, o, sfn)
     if truth is None:
-        return None
-    return "undecided but all completions %s" % ("agree" if truth == 1 else "disagree")
+        return 0, None
+    return 0, "undecided but all completions %s" % ("agree" if truth == 1 else "disagree")
 
 
 def check_validity(
@@ -311,9 +320,7 @@ def check_validity(
     completions than ``COMPLETION_GUARD`` are skipped in sampling mode and
     refused in exhaustive mode.
     """
-    return _probe(
-        oracle, sfn, budget, seed, exhaustive, 0.4, _verify_verdict, oracle.viable is not None
-    )
+    return _probe(oracle, sfn, budget, seed, exhaustive, 0.4, _verify_valid)
 
 
 def check_completeness(

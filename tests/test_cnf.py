@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -78,6 +79,8 @@ def test_construction_cleans_clauses():
     # tautology dropped, duplicate literal deduplicated
     assert g.clauses == ((1, 2),)
     assert not g.has_empty_clause
+    # duplicate clauses are both kept
+    assert CnfFormula(2, [[1, 2], [1, 2]]).clauses == ((1, 2), (1, 2))
     assert CnfFormula(1, [[]]).has_empty_clause
 
 
@@ -142,8 +145,60 @@ def test_branch_identity():
 def test_probdpll_stats():
     stats = QueryStats()
     probdpll(CnfFormula(2, [[1, 2]]), WeightMap([0.5, 0.5]), stats=stats)
-    assert stats.branch_nodes >= 1
-    assert stats.leaves_true + stats.leaves_false <= stats.oracle_calls
+    # X1=1 is a true leaf; X1=0 leaves (2), whose split gives one leaf of each kind
+    assert (stats.oracle_calls, stats.branch_nodes) == (5, 2)
+    assert (stats.leaves_true, stats.leaves_false) == (2, 1)
+
+
+def _reference_probdpll(g, sigma, stats):
+    """ProbDPLL as plain recursion on ``condition``-ed copies: split on the
+    variable with the most occurrences, lowest index on ties, X=1 first."""
+    stats.oracle_calls += 1
+    if g.is_empty:
+        stats.leaves_true += 1
+        return 1.0
+    if g.has_empty_clause:
+        stats.leaves_false += 1
+        return 0.0
+    stats.branch_nodes += 1
+    counts = collections.Counter(abs(lit) - 1 for clause in g.clauses for lit in clause)
+    var = min(counts, key=lambda v: (-counts[v], v))
+    high = _reference_probdpll(condition(g, var, True), sigma, stats)
+    low = _reference_probdpll(condition(g, var, False), sigma, stats)
+    p = sigma[var]
+    return p * high + (1.0 - p) * low
+
+
+def _split_counts(stats):
+    return (stats.oracle_calls, stats.branch_nodes, stats.leaves_true, stats.leaves_false)
+
+
+def test_probdpll_splits_as_the_reference():
+    """Same value (==) and same counts as the recursion on formula copies,
+    on random formulas with duplicate clauses, empty clauses and variables
+    that occur in no clause, and on the edge cases below."""
+    rng = random.Random(2001)
+    cases = [
+        (CnfFormula(0, []), WeightMap([])),
+        (CnfFormula(0, [[]]), WeightMap([])),
+        (CnfFormula(3, [[1, 2], [1, 2], [-3]]), WeightMap([0.3, 0.6, 0.2])),
+        (CnfFormula(4, [[1, 2], [], [3]]), WeightMap([0.4, 0.5, 0.9, 0.1])),
+        (CnfFormula(5, [[2, -4]]), WeightMap([0.7, 0.2, 0.5, 0.6, 0.8])),
+    ]
+    for _ in range(200):
+        g, sigma = random_cnf(rng, max_vars=10, max_clauses=30)
+        clauses = list(g.clauses)
+        for _ in range(rng.choice((0, 0, 1, 3))):
+            clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses or [()]))
+        if rng.random() < 0.05:
+            clauses.insert(rng.randrange(len(clauses) + 1), ())
+        extra = rng.randint(0, 2)
+        probs = list(sigma.probs) + [rng.random() for _ in range(extra)]
+        cases.append((CnfFormula(g.num_vars + extra, clauses), WeightMap(probs)))
+    for g, sigma in cases:
+        got, want = QueryStats(), QueryStats()
+        assert probdpll(g, sigma, stats=got) == _reference_probdpll(g, sigma, want)
+        assert _split_counts(got) == _split_counts(want)
 
 
 def test_bruteforce_guard():
@@ -198,5 +253,6 @@ def test_deep_formulas_need_no_call_stack():
     got = probdpll(CnfFormula(m, [[k + 1] for k in range(m)]), sigma, stats=stats)
     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
     assert (stats.branch_nodes, stats.leaves_true, stats.leaves_false) == (m, 1, m)
+    assert stats.oracle_calls == 2 * m + 1
     term = prob_of_dnf([list(range(1, m + 1))], sigma)
     assert math.isclose(term, expected, rel_tol=0.0, abs_tol=1e-12)
