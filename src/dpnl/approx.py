@@ -13,9 +13,9 @@ key is already queued is merged into that entry: the masses add up, and one
 oracle call later settles or expands the sum. Equal keys mean the same free
 variables and the same output on every completion (or no matching completion
 at all), hence the same conditional value, so a merge changes neither bound's
-soundness; it is component caching applied to a best-first frontier. Bound
-updates are rounded outward, with a margin for the rounding of the mass
-products and sums, so the bounds hold in floating point as well.
+soundness; it is component caching applied to a best-first frontier. Every
+queued mass is rounded toward zero and every bound update outward, so the
+bounds hold in floating point as well.
 """
 
 from __future__ import annotations
@@ -126,22 +126,25 @@ class ExploreHeuristic:
         raise NotImplementedError
 
 
+def _down(x: float) -> float:
+    """One step toward zero from a rounded-to-nearest product or sum of
+    non-negative floats: at most the exact result, and zero stays zero."""
+    return math.nextafter(x, 0.0)
+
+
 class _Entry:
     """The queued mass of every pushed valuation with one residual key.
 
-    ``v`` is the first of them, the one the oracle sees. ``rounds`` bounds
-    the roundings behind ``mass``, one per product on any path into it and
-    one per merge, so ``mass`` is within a relative ``rounds * 2**-53`` of
-    its exact value (to first order). ``rank`` is its latest heap item's.
+    ``v`` is the first of them, the one the oracle sees. ``mass`` is at
+    most the exact sum of their masses. ``rank`` is its latest heap item's.
     """
 
-    __slots__ = ("v", "key", "mass", "rounds", "rank")
+    __slots__ = ("v", "key", "mass", "rank")
 
-    def __init__(self, v: Valuation, key: Hashable, mass: float, rounds: int, rank: float):
+    def __init__(self, v: Valuation, key: Hashable, mass: float, rank: float):
         self.v = v
         self.key = key
         self.mass = mass
-        self.rounds = rounds
         self.rank = rank
 
 
@@ -163,18 +166,17 @@ class _Frontier:
     def __len__(self) -> int:
         return len(self.live)
 
-    def add(self, key: Hashable, v: Valuation, mass: float, rounds: int) -> bool:
+    def add(self, key: Hashable, v: Valuation, mass: float) -> bool:
         """Queue ``v``, or merge its mass into the live entry with the same
-        key; returns whether it merged."""
+        key (sum rounded down, never below the entry's); returns whether it merged."""
         self.mass += mass
         entry = self.live.get(key)
         if entry is None:
-            entry = self.live[key] = _Entry(v, key, mass, rounds, self.rank(mass))
+            entry = self.live[key] = _Entry(v, key, mass, self.rank(mass))
             heapq.heappush(self.heap, (entry.rank, next(self.pushes), entry))
             return False
-        entry.rounds = (rounds if rounds > entry.rounds else entry.rounds) + 1
-        merged = entry.mass + mass
-        if merged != entry.mass:
+        merged = _down(entry.mass + mass)
+        if merged > entry.mass:
             entry.mass = merged
             rank = self.rank(merged)
             if rank != entry.rank:
@@ -240,10 +242,6 @@ def _valuation_key(v: Valuation, o: int) -> Hashable:
     return v.cells
 
 
-# unit roundoff of binary64 round-to-nearest
-_UNIT = 2.0**-53
-
-
 def approx_dpnl(
     inst: Instance,
     o: int,
@@ -265,26 +263,33 @@ def approx_dpnl(
     call settles the merged mass: it all goes to ``low``, all comes off
     ``up``, or is split among the children of the entry's valuation. A
     child whose value the oracle's ``viable`` hook drops is never queued:
-    its mass comes off ``up`` at once. Each settled mass is shrunk by the
-    relative error its roundings allow and the bounds are rounded outward,
-    so ``low <= exact <= up`` holds in floating point. When ``trace`` is a
-    list, a snapshot is appended after every iteration, preceded by the
-    initial (0, 1) state.
+    its mass comes off ``up`` at once. Every queued mass is rounded toward
+    zero and every bound update outward, so ``low <= exact <= up`` holds in
+    floating point; ``up`` starts a few ulps above 1 when the rows' exact
+    sums exceed 1. When ``trace`` is a list, a snapshot is appended after
+    every iteration, preceded by the initial ``(0, up)`` state.
     """
     if order is None:
         order = SequentialOrder()
     residual_key = oracle.residual_key or _valuation_key
     stats = QueryStats()
     probs = inst.probs
+    # a row's exact sum can miss 1 by a few ulps: up starts at or above their
+    # product, the root's queued mass at or below the product of those under 1
     low = 0.0
-    up = 1.0
+    up = root_mass = 1.0
+    for row in probs:
+        excess = math.fsum((*row, -1.0))
+        if excess > 0.0:
+            up = math.nextafter(up * math.nextafter(math.fsum(row), math.inf), math.inf)
+        elif excess < 0.0:
+            root_mass = _down(root_mass * _down(math.fsum(row)))
     frontier = _Frontier(heuristic.ranker())
     root = fresh_valuation(inst.m)
-    frontier.add(residual_key(root, o), root, 1.0, 0)
+    frontier.add(residual_key(root, o), root, root_mass)
     start = time.perf_counter()
-    iteration = 0
     if trace is not None:
-        trace.append(TraceSnapshot(0, Bounds(low, up), 1.0))
+        trace.append(TraceSnapshot(0, Bounds(low, up), frontier.mass))
     while len(frontier) > 0 and not stop.should_stop(low, up, time.perf_counter() - start):
         entry = frontier.pop()
         v = entry.v
@@ -295,31 +300,24 @@ def approx_dpnl(
             k = _checked_choice(order, v)
             row = probs[k]
             ys = oracle.branch_values(v, k, o, len(row))
-            mass, rounds = entry.mass, entry.rounds + 1
+            mass = entry.mass
             if len(ys) < len(row):
-                # a dropped child settles like a false leaf, with no oracle call
+                # the dropped children settle as one false leaf, with no oracle call
                 stats.pruned += len(row) - len(ys)
-                for y, p in enumerate(row):
-                    if y not in ys:
-                        settled = mass * p * (1.0 - (rounds + 2) * 2 * _UNIT)
-                        up = min(up, math.nextafter(up - settled, math.inf))
+                dropped = _down(math.fsum((*row, *(-row[y] for y in ys))))
+                up = min(up, math.nextafter(up - _down(mass * dropped), math.inf))
             for y in ys:
                 child = v.assign(k, y)
-                if frontier.add(residual_key(child, o), child, mass * row[y], rounds):
+                if frontier.add(residual_key(child, o), child, _down(mass * row[y])):
                     stats.cache_hits += 1
+        elif answer == 1:
+            stats.leaves_true += 1
+            low = max(low, math.nextafter(low + entry.mass, -math.inf))
         else:
-            # shrunk below the exact mass: the margin covers the entry's
-            # roundings and the one in this product
-            settled = entry.mass * (1.0 - (entry.rounds + 2) * 2 * _UNIT)
-            if answer == 1:
-                stats.leaves_true += 1
-                low = max(low, math.nextafter(low + settled, -math.inf))
-            else:
-                stats.leaves_false += 1
-                up = min(up, math.nextafter(up - settled, math.inf))
-        iteration += 1
+            stats.leaves_false += 1
+            up = min(up, math.nextafter(up - entry.mass, math.inf))
         if trace is not None:
-            trace.append(TraceSnapshot(iteration, Bounds(low, up), frontier.mass))
+            trace.append(TraceSnapshot(stats.oracle_calls, Bounds(low, up), frontier.mass))
     stats.wall_time = time.perf_counter() - start
     return Bounds(low, up), stats
 
@@ -334,8 +332,8 @@ def bound_trace(
 ) -> list[TraceSnapshot]:
     """Per-iteration bound snapshots for at most ``max_steps`` iterations.
 
-    The first snapshot is always the initial (0, 1) interval; the lower
-    bounds are non-decreasing and the upper bounds non-increasing.
+    The first snapshot is always ``approx_dpnl``'s initial ``(0, up)``; the
+    lower bounds are non-decreasing and the upper bounds non-increasing.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

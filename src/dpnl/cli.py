@@ -33,7 +33,7 @@ def _fmt(p: float) -> str:
     return "%.12g" % p
 
 
-def _emit(args, command: str, result, stats: QueryStats, bounds=None) -> None:
+def _emit(args, command: str, result, stats: QueryStats, bounds=None, seed=None) -> None:
     """Print the stats line; write the JSON run report if ``--json`` is set."""
     print(
         "stats: oracle_calls=%d branch_nodes=%d cache_hits=%d pruned=%d wall_time_s=%.6f"
@@ -50,7 +50,7 @@ def _emit(args, command: str, result, stats: QueryStats, bounds=None) -> None:
             "branch_nodes": stats.branch_nodes,
             "cache_hits": stats.cache_hits,
             "wall_time_s": stats.wall_time,
-            "seed": getattr(args, "seed", None),
+            "seed": seed,
             "pruned": stats.pruned,
         }
         with open(args.json, "w") as fh:
@@ -158,6 +158,10 @@ def _query_from_args(args):
 
 
 def _build_stop(args) -> approx_mod.StopPolicy:
+    if args.eps is not None and args.stop not in ("eps-mult", "eps-add"):
+        raise InvalidInstanceError("--eps applies to --stop eps-mult and eps-add only")
+    if args.time is not None and args.stop != "time":
+        raise InvalidInstanceError("--time applies to --stop time only")
     if args.stop == "eps-mult":
         if args.eps is None:
             raise InvalidInstanceError("--stop eps-mult needs --eps")
@@ -174,11 +178,13 @@ def _build_stop(args) -> approx_mod.StopPolicy:
 
 
 def _build_heuristic(args) -> approx_mod.ExploreHeuristic:
+    if args.heuristic == "random":
+        return approx_mod.RandomChoice(0 if args.seed is None else args.seed)
+    if args.seed is not None:
+        raise InvalidInstanceError("--seed applies to --heuristic random only")
     if args.heuristic == "maxprob":
         return approx_mod.MaxProbability()
-    if args.heuristic == "fifo":
-        return approx_mod.Fifo()
-    return approx_mod.RandomChoice(args.seed)
+    return approx_mod.Fifo()
 
 
 def cmd_approx(args) -> int:
@@ -201,7 +207,7 @@ def cmd_approx(args) -> int:
     print("low = %s" % _fmt(bounds.low))
     print("up = %s" % _fmt(bounds.up))
     print("estimate = %s" % _fmt(bounds.estimate))
-    _emit(args, "approx", bounds.estimate, stats, bounds)
+    _emit(args, "approx", bounds.estimate, stats, bounds, getattr(heuristic, "seed", None))
     return 0
 
 
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, help="epsilon for eps-mult / eps-add")
     p.add_argument("--time", type=float, help="seconds for the time stop")
     p.add_argument("--heuristic", choices=["maxprob", "fifo", "random"], default="maxprob")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random heuristic")
+    p.add_argument("--seed", type=int, help="seed of the random heuristic (default 0)")
     p.add_argument("--trace", help="write per-iteration bounds as JSON lines")
 
     p = command("logic", cmd_logic, "query success probability of a Horn program")

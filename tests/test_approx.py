@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -27,10 +28,13 @@ from dpnl import (
     dpnl,
     exhaustive_oracle,
     fresh_valuation,
+    logic_instance,
     naive_oracle,
+    parse_program,
     right_to_left_order,
     total_completions,
 )
+from dpnl import approx as approx_mod
 from dpnl.approx import _Frontier, _StepLimit
 from conftest import random_digit_rows, random_table_instance, table_residual_key
 
@@ -95,11 +99,23 @@ def test_time_budget_sandwich():
     assert stats.wall_time < 0.02 + 0.05  # loop-head check plus slack
 
 
+def exact_root_mass(inst):
+    """The product of the rows' exact sums: the exact mass of all valuations."""
+    mass = Fraction(1)
+    for row in inst.probs:
+        mass *= sum(Fraction(p) for p in row)
+    return mass
+
+
 def test_trace_first_snapshot_and_monotonicity():
     rng = random.Random(6)
     inst, oracle, order = sum_setup(rng)
     snaps = bound_trace(inst, 9, oracle, MaxProbability(), max_steps=10**6, order=order)
-    assert snaps[0].bounds == Bounds(0.0, 1.0)
+    # up starts at or above the root's exact mass, which exceeds 1 when a
+    # normalised row's float entries sum above 1
+    assert snaps[0].bounds.low == 0.0
+    assert Fraction(snaps[0].bounds.up) >= exact_root_mass(inst)
+    assert snaps[0].bounds.up - 1.0 < 1e-15
     assert snaps[0].iteration == 0
     for prev, cur in zip(snaps, snaps[1:]):
         assert cur.bounds.low >= prev.bounds.low - 1e-15
@@ -328,6 +344,34 @@ def test_bounds_certified_in_floating_point():
         assert snaps[-1].bounds.gap <= 1e-12
 
 
+def test_bounds_hold_when_rows_miss_one():
+    # the exact value is that of the float rows, whose sums can miss 1 by a
+    # few ulps: ten 0.1s exceed 1 by 5.55e-17, three 1/3s fall short of it
+    # by 5.55e-17, and the rows of this program exceed 1 by 8.33e-17 together
+    def true_below_root(v, o):
+        if v.cells[0] is None:
+            return VERDICT_UNKNOWN
+        return VERDICT_TRUE if o == 1 else VERDICT_FALSE
+
+    program = parse_program("q.\n0.078 :: f0.\n0.073 :: f1.\n0.537 :: f2.\nquery(q).\n")
+    inst, _, oracle = logic_instance(program)
+    cases = [
+        (Instance([[1.0] * 10], Domain(2)), Oracle(true_below_root)),
+        (inst, oracle),
+        (Instance([[1.0] * 3] * 12, Domain(2)), Oracle(lambda v, o: VERDICT_TRUE)),
+        (Instance([[1.0] * 3] * 12, Domain(2)), Oracle(true_below_root)),
+    ]
+    for inst, oracle in cases:
+        exact = exact_root_mass(inst)
+        assert exact != 1
+        for heuristic in HEURISTICS:
+            snaps = []
+            approx_dpnl(inst, 1, oracle, Exhaustive(), heuristic, trace=snaps)
+            for snap in snaps:
+                assert Fraction(snap.bounds.low) <= exact <= Fraction(snap.bounds.up)
+            assert snaps[-1].bounds.gap <= 1e-12
+
+
 def table_viable(sfn):
     """Viable hook of a table function: the values of k through which some
     completion still maps to the output, or None for all of them."""
@@ -344,8 +388,8 @@ def table_viable(sfn):
 
 
 def test_dropped_children_keep_bounds_certified():
-    # a dropped child's mass leaves up with a false leaf's margin and
-    # outward rounding, so the bounds still hold in exact arithmetic
+    # a branch's dropped children leave up as one false leaf, rounded down,
+    # with outward rounding, so the bounds still hold in exact arithmetic
     rng = random.Random(64)
     pruned = 0
     for _ in range(200):
@@ -362,19 +406,26 @@ def test_dropped_children_keep_bounds_certified():
     assert pruned > 0
 
 
+def merged(mass, add):
+    """A merge's mass by the frontier's rule: the sum rounded toward zero,
+    never below the entry's mass."""
+    return max(mass, math.nextafter(mass + add, 0.0))
+
+
 def test_max_probability_reprioritises_merged_entries():
     frontier = _Frontier(MaxProbability().ranker())
     v = fresh_valuation(2)
     for key, y, mass in (("a", 0, 0.3), ("b", 1, 0.2), ("c", 2, 0.25)):
-        assert not frontier.add(key, v.assign(0, y), mass, 1)
-    assert frontier.add("b", v.assign(1, 0), 0.2, 1)
+        assert not frontier.add(key, v.assign(0, y), mass)
+    assert frontier.add("b", v.assign(1, 0), 0.2)
     assert len(frontier) == 3
     popped = [frontier.pop() for _ in range(3)]
     assert [(e.key, e.v.cells, e.mass) for e in popped] == [
-        ("b", (1, None), 0.4),
+        ("b", (1, None), merged(0.2, 0.2)),
         ("a", (0, None), 0.3),
         ("c", (2, None), 0.25),
     ]
+    assert Fraction(popped[0].mass) <= Fraction(0.2) + Fraction(0.2)
     # the superseded heap item of "b" is no live entry
     assert len(frontier) == 0
     assert frontier.mass == 0.0
@@ -384,15 +435,17 @@ def test_fifo_merged_entry_keeps_its_place():
     frontier = _Frontier(Fifo().ranker())
     v = fresh_valuation(2)
     for key, y, mass in (("a", 0, 0.1), ("b", 1, 0.2), ("c", 2, 0.3)):
-        assert not frontier.add(key, v.assign(0, y), mass, 1)
-    assert frontier.add("c", v.assign(1, 0), 0.5, 1)
-    assert frontier.add("a", v.assign(1, 1), 0.25, 1)
+        assert not frontier.add(key, v.assign(0, y), mass)
+    assert frontier.add("c", v.assign(1, 0), 0.5)
+    assert frontier.add("a", v.assign(1, 1), 0.25)
     popped = [frontier.pop() for _ in range(3)]
     assert [(e.key, e.v.cells, e.mass) for e in popped] == [
-        ("a", (0, None), 0.35),
+        ("a", (0, None), merged(0.1, 0.25)),
         ("b", (1, None), 0.2),
-        ("c", (2, None), 0.8),
+        ("c", (2, None), merged(0.3, 0.5)),
     ]
+    assert Fraction(popped[0].mass) <= Fraction(0.1) + Fraction(0.25)
+    assert Fraction(popped[2].mass) <= Fraction(0.3) + Fraction(0.5)
     assert len(frontier) == 0 and not frontier.heap
 
 
@@ -401,11 +454,11 @@ def test_random_choice_order_is_seeded_and_pops_each_entry_once():
         frontier = _Frontier(RandomChoice(seed).ranker())
         v = fresh_valuation(2)
         for i in range(40):
-            assert not frontier.add(i, v.assign(0, i % 10), 0.01 * (i + 1), 1)
+            assert not frontier.add(i, v.assign(0, i % 10), 0.01 * (i + 1))
         # every merge changes the mass, so every one draws a new rank
         for i in range(0, 40, 3):
-            assert frontier.add(i, v.assign(1, i % 10), 0.5, 1)
-            assert frontier.add(i, v.assign(1, i % 10), 0.25, 1)
+            assert frontier.add(i, v.assign(1, i % 10), 0.5)
+            assert frontier.add(i, v.assign(1, i % 10), 0.25)
         assert len(frontier.heap) > len(frontier) == 40
         popped = []
         while len(frontier) > 0:
@@ -418,14 +471,71 @@ def test_random_choice_order_is_seeded_and_pops_each_entry_once():
     assert order != pop_order(6)
     assert sorted(key for key, _ in order) == list(range(40))
     for key, mass in order:
-        assert mass == (0.01 * (key + 1) + 0.5 + 0.25 if key % 3 == 0 else 0.01 * (key + 1))
+        first = 0.01 * (key + 1)
+        if key % 3 == 0:
+            assert mass == merged(merged(first, 0.5), 0.25)
+            assert Fraction(mass) <= Fraction(first) + Fraction(0.5) + Fraction(0.25)
+        else:
+            assert mass == first
 
 
 def test_max_probability_pops_zero_mass_last():
     frontier = _Frontier(MaxProbability().ranker())
     v = fresh_valuation(1)
     for key, mass in (("zero", 0.0), ("tiny", 5e-324), ("big", 0.5), ("small", 1e-300)):
-        frontier.add(key, v.assign(0, len(frontier)), mass, 1)
+        frontier.add(key, v.assign(0, len(frontier)), mass)
     # a merge of nothing leaves the zero-mass entry where it is
-    assert frontier.add("zero", v, 0.0, 1)
+    assert frontier.add("zero", v, 0.0)
     assert [frontier.pop().key for _ in range(4)] == ["big", "small", "tiny", "zero"]
+
+
+def test_merge_never_lowers_an_entry():
+    # rounded toward zero, 0.5 + 1e-20 would fall below 0.5: the merge keeps
+    # the entry's mass, rank and heap as they were
+    frontier = _Frontier(MaxProbability().ranker())
+    v = fresh_valuation(1)
+    assert not frontier.add("a", v, 0.5)
+    for mass in (1e-20, 0.0):
+        assert frontier.add("a", v.assign(0, 0), mass)
+        assert frontier.live["a"].mass == 0.5
+        assert len(frontier.heap) == 1
+    assert frontier.pop().mass == 0.5
+
+
+def test_many_merges_stay_below_the_exact_sum():
+    rng = random.Random(66)
+    frontier = _Frontier(MaxProbability().ranker())
+    v = fresh_valuation(1)
+    masses = [rng.random() * 10.0 ** -rng.randrange(6) for _ in range(1000)]
+    for mass in masses:
+        frontier.add("k", v, mass)
+    exact = sum(Fraction(m) for m in masses)
+    stored = Fraction(frontier.live["k"].mass)
+    assert stored <= exact
+    assert exact - stored <= exact * Fraction(1, 10**12)
+
+
+def test_deep_run_of_rounded_products_stays_certified(monkeypatch):
+    # heavy_leaf_then_dust_instance with inexact rows: a true leaf of mass
+    # 0.75, then a 42-deep chain of false leaves whose child masses are
+    # rounded products, ending in 1,000 true leaves of dust
+    rng = random.Random(67)
+    rows = [[0.75, 0.25]] + [[p, 1.0 - p] for p in (rng.uniform(0.5, 0.95) for _ in range(42))]
+    inst = Instance(rows + [[1.0] * 1000], Domain(2))
+    _, oracle, _ = heavy_leaf_then_dust_instance()
+    exact = Fraction(inst.probs[0][0]) + Fraction(inst.probs[0][1]) * math.prod(
+        Fraction(row[1]) for row in inst.probs[1:43]
+    ) * sum(Fraction(p) for p in inst.probs[43])
+    down = approx_mod._down
+    rounded = []
+    monkeypatch.setattr(approx_mod, "_down", lambda x: rounded.append(x) or down(x))
+    for heuristic in HEURISTICS:
+        rounded.clear()
+        snaps = []
+        _, stats = approx_dpnl(inst, 1, oracle, Exhaustive(), heuristic, trace=snaps)
+        # every child's mass is one rounded product; a keyless run never merges
+        assert len(rounded) == 2 * 43 + 1000
+        assert stats.branch_nodes == 44
+        for snap in snaps:
+            assert Fraction(snap.bounds.low) <= exact <= Fraction(snap.bounds.up)
+        assert snaps[-1].bounds.gap <= 1e-12

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dpnl import cli
+from dpnl import SumInstanceSpec, build_sum_instance, cli
 from dpnl.cli import _cross_check, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,7 +205,13 @@ def test_approx_trace_file(tmp_path):
         ]
     ) == 0
     lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    assert lines[0] == {"iteration": 0, "low": 0.0, "up": 1.0}
+    # ten 0.1s sum above 1, so up starts a few ulps above 1
+    assert lines[0]["iteration"] == 0 and lines[0]["low"] == 0.0
+    exact_total = Fraction(1)
+    for row in build_sum_instance(SumInstanceSpec.uniform(1))[0].probs:
+        exact_total *= sum(Fraction(p) for p in row)
+    assert Fraction(lines[0]["up"]) >= exact_total
+    assert lines[0]["up"] - 1.0 < 1e-15
     for prev, cur in zip(lines, lines[1:]):
         assert cur["low"] >= prev["low"]
         assert cur["up"] <= prev["up"]
@@ -231,6 +238,21 @@ def test_approx_report_counts_merges_as_cache_hits(capsys, tmp_path):
 def test_approx_missing_eps_is_usage_error(capsys):
     assert main(["approx", "--n", "1", "--uniform", "--sum", "4", "--stop", "eps-mult"]) == 2
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--stop", "exhaustive", "--eps", "0.1"],
+        ["--stop", "eps-add", "--eps", "0.1", "--time", "5"],
+        ["--stop", "exhaustive", "--heuristic", "fifo", "--seed", "7"],
+    ],
+    ids=["eps", "time", "seed"],
+)
+def test_approx_rejects_unused_options(extra, capsys):
+    # an option the chosen policy does not read is a usage error, not ignored
+    assert main(["approx", "--n", "1", "--uniform", "--sum", "4"] + extra) == 2
+    assert capsys.readouterr().err.startswith("error: %s applies to " % extra[-2])
 
 
 def test_approx_time_budget(capsys):
@@ -333,6 +355,8 @@ def test_sum_task_without_n_is_usage_error(command, capsys):
         ),
         (["logic", "--program", "PROGRAM"], None),
         (["gradcheck", "--n", "1", "--uniform", "--sum", "4"], None),
+        # maxprob draws no random number, so the report has no seed
+        (["approx", "--n", "1", "--uniform", "--sum", "9", "--stop", "exhaustive"], None),
     ],
 )
 def test_report_schema(argv, seed, program_file, tmp_path):
