@@ -87,11 +87,21 @@ def cmd_pwmc(args) -> int:
     return rc
 
 
+def _reject_unread(args, when: str, *names: str) -> None:
+    """Reject each of the options ``names`` that was given, since ``when``
+    the command does not read it."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise InvalidInstanceError("--%s does not apply %s" % (name.replace("_", "-"), when))
+
+
 def _sum_query(args):
     """Spec, instance, symbolic function, oracle and order of the sum task."""
     if args.n is None:
         raise InvalidInstanceError("need --n")
     if args.uniform:
+        _reject_unread(args, "with --uniform", "dists")
         spec = SumInstanceSpec.uniform(args.n)
     elif args.dists:
         text = args.dists
@@ -102,7 +112,7 @@ def _sum_query(args):
     else:
         raise InvalidInstanceError("need --uniform or --dists")
     inst, sfn, oracle = build_sum_instance(spec)
-    if args.order == "r2l":
+    if args.order in (None, "r2l"):
         order = right_to_left_order(spec.n)
     elif args.order == "seq":
         order = SequentialOrder()
@@ -120,6 +130,7 @@ def cmd_sum(args) -> int:
     spec, inst, _, oracle, order = _sum_query(args)
     rc = 0
     if args.full:
+        _reject_unread(args, "with --full", "sum")
         dist, stats = output_distribution(inst, oracle, order=order)
         for o, p in dist.items():
             print("%d %s" % (o, _fmt(p)))
@@ -148,6 +159,7 @@ def _query_from_args(args):
     """Instance, symbolic function, oracle, order and queried output: the
     ``--program`` file's query (output 1), else the sum task's ``--sum``."""
     if args.program:
+        _reject_unread(args, "with --program", "n", "uniform", "dists", "sum", "order")
         prog = _read_program(args.program)
         inst, sfn, oracle = logic_mod.logic_instance(prog)
         return inst, sfn, oracle, logic_mod.applicable_rule_order(prog), 1
@@ -213,15 +225,18 @@ def cmd_approx(args) -> int:
 
 def cmd_logic(args) -> int:
     if args.count_provenance:
+        _reject_unread(args, "with --count-provenance", "program", "brute")
         if args.nodes is None:
             raise InvalidInstanceError("--count-provenance needs --nodes")
         clauses = logic_mod.provenance_clause_count(args.nodes)
-        table = [[args.edge_prob] * args.nodes for _ in range(args.nodes)]
+        edge_prob = 0.5 if args.edge_prob is None else args.edge_prob
+        table = [[edge_prob] * args.nodes for _ in range(args.nodes)]
         prog = logic_mod.reachability_program(args.nodes, table)
-    elif args.program:
-        prog = _read_program(args.program)
     else:
-        raise InvalidInstanceError("need --program or --count-provenance")
+        _reject_unread(args, "without --count-provenance", "nodes", "edge_prob")
+        if not args.program:
+            raise InvalidInstanceError("need --program or --count-provenance")
+        prog = _read_program(args.program)
     order = SequentialOrder() if args.order == "seq" else logic_mod.applicable_rule_order(prog)
     value, stats = logic_mod.success_probability(prog, order=order)
     if args.count_provenance:
@@ -229,7 +244,7 @@ def cmd_logic(args) -> int:
         print("branch_nodes = %d" % stats.branch_nodes)
     print("P(query) = %s" % _fmt(value))
     rc = 0
-    if args.brute and not args.count_provenance:
+    if args.brute:
         if prog.m > 12:
             raise InvalidInstanceError(
                 "--brute supports at most 12 probabilistic rules, program has %d" % prog.m
@@ -282,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--uniform", action="store_true", help="uniform digit distributions")
         p.add_argument("--dists", help="JSON (inline or file): 2N rows of 10 probabilities")
         p.add_argument("--sum", type=int, help="query this output value")
-        p.add_argument("--order", choices=["r2l", "seq", "rev"], default="r2l")
+        p.add_argument("--order", choices=["r2l", "seq", "rev"], help="digit order (default r2l)")
 
     p = command("pwmc", cmd_pwmc, "weighted model count of a DIMACS CNF")
     p.add_argument("--cnf", required=True, help="DIMACS CNF file, 'w <var> <prob>' lines allowed")
@@ -309,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("logic", cmd_logic, "query success probability of a Horn program")
     p.add_argument("--program", help="program file")
     p.add_argument("--brute", action="store_true", help="cross-check against subset enumeration")
-    p.add_argument("--order", choices=["applicable", "seq"], default="applicable")
+    p.add_argument("--order", choices=["applicable", "seq"], help="rule order (default applicable)")
     p.add_argument("--count-provenance", action="store_true", dest="count_provenance")
     p.add_argument("--nodes", type=int, help="complete-graph size for --count-provenance")
-    p.add_argument("--edge-prob", type=float, default=0.5, dest="edge_prob")
+    p.add_argument("--edge-prob", type=float, dest="edge_prob", help="edge probability (default 0.5)")
 
     # central differences bottom out around 1e-8 in float64, 1e-9 is unreachable
     p = command(

@@ -10,6 +10,7 @@ mix.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
@@ -24,7 +25,6 @@ from .core import (
     VERDICT_TRUE,
     VERDICT_UNKNOWN,
     completion_count,
-    total_completions,
 )
 
 COMPLETION_GUARD = 10**6
@@ -88,12 +88,20 @@ class Oracle:
 
     def branch_values(self, v: Valuation, k: int, o: int, size: int) -> Sequence[int]:
         """The values ``0..size-1`` of free variable k that a branch visits:
-        all of them, unless ``viable`` names some. An empty, unsorted or
-        out-of-range answer raises ``InvalidInstanceError``."""
+        all of them, unless ``viable`` names some. An answer that is not a
+        sequence of ints, or is empty, unsorted or out of range, raises
+        ``InvalidInstanceError``."""
         ys = None if self.viable is None else self.viable(v, k, o)
         if ys is None:
             return range(size)
-        if not ys or ys[0] < 0 or ys[-1] >= size or any(a >= b for a, b in zip(ys, ys[1:])):
+        try:
+            # a slice fails on sets and iterators: only a sequence has an order
+            ys = tuple(map(operator.index, ys[:]))
+        except TypeError:
+            raise InvalidInstanceError(
+                "viable answer %r for variable %d is not a sequence of ints" % (ys, k)
+            ) from None
+        if not ys or ys[0] < 0 or ys[-1] >= size or not all(map(operator.lt, ys, ys[1:])):
             raise InvalidInstanceError(
                 "viable values %r of variable %d are not ascending in 0..%d" % (ys, k, size - 1)
             )
@@ -140,29 +148,22 @@ def exhaustive_oracle(sfn: SymbolicFunction) -> Oracle:
 
 def _truth(v: Valuation, o: int, sfn: SymbolicFunction) -> Optional[int]:
     """1 if every total completion of ``v`` maps to ``o``, 0 if none does,
-    None as soon as one completion of each kind has been seen."""
-    return _scan(v, o, sfn, {})[0]
-
-
-def _scan(
-    v: Valuation, o: int, sfn: SymbolicFunction, drops: dict[int, set[int]]
-) -> tuple[Optional[int], Optional[Valuation]]:
-    """One walk over the total completions of ``v``: the truth, as in
-    ``_truth``, and the first completion mapping to ``o`` that gives some
-    variable k a value in ``drops[k]``, None if there is none. Stops once
-    both are known."""
+    None as soon as one completion of each kind has been seen. As in
+    ``total_completions``, the leftmost free cell varies fastest (``product``
+    varies its last axis fastest, so the cells go in reversed); the order
+    decides how soon an undecided walk stops."""
+    fn = sfn.fn
+    pairs = zip(v.cells[::-1], sfn.domains[::-1], strict=True)
+    axes = [range(d.size) if c is None else (c,) for c, d in pairs]
     agree = disagree = False
-    hit = None
-    for w in total_completions(v, sfn.domains):
-        if sfn.fn(w.cells) == o:
+    for combo in itertools.product(*axes):
+        if fn(combo[::-1]) == o:
             agree = True
-            if drops and hit is None and any(w.cells[k] in ys for k, ys in drops.items()):
-                hit = w
         else:
             disagree = True
-        if agree and disagree and (hit is not None or not drops):
-            return None, hit
-    return (None if agree and disagree else 0 if disagree else 1), hit
+        if agree and disagree:
+            return None
+    return 1 if agree else 0
 
 
 @dataclass
@@ -170,7 +171,8 @@ class CheckReport:
     """Outcome of a validity or completeness check.
 
     ``dropped`` counts the values that the oracle's ``viable`` answers left
-    out and the validity check confirmed.
+    out, on every trial of the validity check; their children are walked
+    only when the verdict is not 0.
     """
 
     passed: bool
@@ -254,41 +256,32 @@ def _verify_valid(
     oracle: Oracle, verdict: OracleVerdict, v: Valuation, o: int, sfn: SymbolicFunction
 ) -> tuple[int, Optional[str]]:
     """Check a decided verdict, or any verdict on a total valuation,
-    against the completions. With a ``viable`` hook, also check its answer
-    for every free variable of ``v``: no matching completion may take a
-    dropped value. A verdict of 0, checked first, means no completion
-    matches. One walk over the completions serves both checks. Returns the
-    number of dropped values and the problem, None if fine; a verdict
-    problem comes first and counts no dropped value."""
+    against the completions. With a ``viable`` hook, then check its answer
+    for every free variable k of ``v``: the child through each dropped
+    value must have no matching completion. A verdict of 0 that passed
+    means no completion matches, so its children are not walked. Returns
+    the number of dropped values visited and the problem, None if fine."""
     answer = verdict.answer
-    drops: dict[int, set[int]] = {}
-    invalid = None
-    if oracle.viable is not None:
-        for k in v.free_indices():
-            size = sfn.domains[k].size
-            try:
-                kept = oracle.branch_values(v, k, o, size)
-            except InvalidInstanceError as err:
-                invalid = str(err)
-                drops = {}
-                break
-            if len(kept) < size:
-                drops[k] = set(range(size)).difference(kept)
-    count = sum(len(ys) for ys in drops.values())
-    if answer == 0:
-        drops = {}
-    decided = answer is not None or v.is_total
-    if not decided and not drops:
-        return count, invalid
-    truth, hit = _scan(v, o, sfn, drops)
-    if decided and answer != truth:
-        return 0, "answered %r but the completions say %s" % (
-            answer, "undecided" if truth is None else truth
-        )
-    if hit is None:
-        return count, invalid
-    k = next(k for k, ys in drops.items() if hit.cells[k] in ys)
-    return count, "viable drops X%d = %d, but %r matches" % (k, hit.cells[k], hit)
+    if answer is not None or v.is_total:
+        truth = _truth(v, o, sfn)
+        if answer != truth:
+            return 0, "answered %r but the completions say %s" % (
+                answer, "undecided" if truth is None else truth
+            )
+    if oracle.viable is None:
+        return 0, None
+    dropped = 0
+    for k in v.free_indices():
+        size = sfn.domains[k].size
+        try:
+            kept = oracle.branch_values(v, k, o, size)
+        except InvalidInstanceError as err:
+            return dropped, str(err)
+        for y in sorted(set(range(size)).difference(kept)):
+            dropped += 1
+            if answer != 0 and _truth(v.assign(k, y), o, sfn) != 0:
+                return dropped, "viable drops X%d = %d, but a completion with it matches" % (k, y)
+    return dropped, None
 
 
 def _verify_undecided(
@@ -315,10 +308,10 @@ def check_validity(
     Samples ``budget`` random (valuation, output) pairs (or enumerates all of
     them with ``exhaustive=True``) and, for every decided answer, verifies the
     decision against every total completion. If the oracle has a ``viable``
-    hook, each pair also checks its answer for every free variable: no
-    matching completion may take a dropped value. Valuations with more
-    completions than ``COMPLETION_GUARD`` are skipped in sampling mode and
-    refused in exhaustive mode.
+    hook, each pair also checks its answer for every free variable: the
+    child through a dropped value may have no matching completion.
+    Valuations with more completions than ``COMPLETION_GUARD`` are skipped
+    in sampling mode and refused in exhaustive mode.
     """
     return _probe(oracle, sfn, budget, seed, exhaustive, 0.4, _verify_valid)
 

@@ -255,6 +255,41 @@ def test_approx_rejects_unused_options(extra, capsys):
     assert capsys.readouterr().err.startswith("error: %s applies to " % extra[-2])
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sum", "--n", "1", "--uniform", "--full", "--sum", "5"], "--sum"),
+        (
+            ["logic", "--count-provenance", "--nodes", "4", "--program", "PROGRAM", "--brute"],
+            "--program",
+        ),
+        (["logic", "--program", "PROGRAM", "--nodes", "4", "--edge-prob", "0.9"], "--nodes"),
+        (
+            [
+                "approx", "--program", "PROGRAM", "--n", "1", "--uniform", "--sum", "4",
+                "--stop", "exhaustive",
+            ],
+            "--n",
+        ),
+        (["gradcheck", "--program", "PROGRAM", "--order", "rev", "--sum", "3"], "--sum"),
+        # one option at a time, default values given explicitly included
+        (["logic", "--count-provenance", "--nodes", "4", "--brute"], "--brute"),
+        (["logic", "--program", "PROGRAM", "--edge-prob", "0.5"], "--edge-prob"),
+        (["gradcheck", "--program", "PROGRAM", "--order", "r2l"], "--order"),
+        (["sum", "--n", "1", "--uniform", "--dists", "[]", "--sum", "4"], "--dists"),
+    ],
+    ids=[
+        "sum-full", "logic-provenance", "logic-program", "approx-program", "gradcheck-program",
+        "brute", "edge-prob", "order", "dists",
+    ],
+)
+def test_unread_options_are_usage_errors(argv, option, program_file, capsys):
+    # an option that the chosen mode never reads is rejected, not dropped
+    argv = [program_file if a == "PROGRAM" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: %s does not apply " % option)
+
+
 def test_approx_time_budget(capsys):
     assert main(
         ["approx", "--n", "2", "--uniform", "--sum", "63", "--stop", "time", "--time", "0.05"]

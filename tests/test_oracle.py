@@ -1,22 +1,33 @@
+import itertools
 import random
+from functools import lru_cache, partial
 
 import pytest
 
 from dpnl import (
+    Exhaustive,
+    InvalidInstanceError,
+    MaxProbability,
     Oracle,
     SizeLimitError,
+    SumInstanceSpec,
+    SymbolicFunction,
     Valuation,
     VERDICT_TRUE,
+    approx_dpnl,
+    build_sum_instance,
     check_completeness,
     check_validity,
+    dpnl,
     exhaustive_oracle,
     fresh_valuation,
+    logic_instance,
     naive_oracle,
     sum_function,
     sum_oracle,
     total_completions,
 )
-from conftest import random_table_instance
+from conftest import random_horn_program, random_table_instance
 
 
 @pytest.fixture
@@ -78,6 +89,9 @@ def test_exhaustive_oracle_guard():
     oracle = exhaustive_oracle(sum_function(4))
     with pytest.raises(SizeLimitError):
         oracle(fresh_valuation(8), 4)
+    # a valuation of the wrong length is refused, not truncated
+    with pytest.raises(ValueError):
+        exhaustive_oracle(sum_function(1))(Valuation([1]), 3)
 
 
 def test_check_validity_passes_for_generic_constructions(add1):
@@ -130,3 +144,104 @@ def test_check_validity_catches_unsound_viable(add1):
     report = check_validity(Oracle(oracle.fn, viable=lambda v, k, o: ()), add1, budget=50)
     assert not report.passed
     assert "not ascending" in report.counterexample[3]
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [lambda: {3}, lambda: (y for y in (3,)), lambda: (3.0,)],
+    ids=["set", "generator", "float"],
+)
+def test_viable_answer_must_be_a_sequence_of_ints(answer, add1):
+    # documented as InvalidInstanceError, like an empty or unsorted answer
+    inst, _, oracle = build_sum_instance(SumInstanceSpec.uniform(1))
+    bad = Oracle(oracle.fn, viable=lambda v, k, o: answer())
+    with pytest.raises(InvalidInstanceError):
+        dpnl(inst, 4, bad)
+    with pytest.raises(InvalidInstanceError):
+        approx_dpnl(inst, 4, bad, Exhaustive(), MaxProbability())
+    report = check_validity(bad, add1, budget=50)
+    assert not report.passed
+    assert "not a sequence of ints" in report.counterexample[3]
+
+
+def _check_cases():
+    """The pinned checks by name, each a thunk that returns its report."""
+    s1, s2 = sum_function(1), sum_function(2)
+    greedy = Oracle(sum_oracle(1).fn, viable=lambda v, k, o: (0,))
+    cases = {
+        "sum1-validity": partial(check_validity, sum_oracle(1), s1, exhaustive=True),
+        "sum2-validity": partial(check_validity, sum_oracle(2), s2, budget=2000, seed=404),
+        "exhaustive2-validity": partial(
+            check_validity, exhaustive_oracle(s2), s2, budget=500, seed=7
+        ),
+        "greedy-validity": partial(check_validity, greedy, s1, exhaustive=True),
+        "true-validity": partial(
+            check_validity, Oracle(lambda v, o: VERDICT_TRUE), s1, budget=500, seed=0
+        ),
+        "sum1-completeness": partial(check_completeness, sum_oracle(1), s1, exhaustive=True),
+        "sum2-completeness": partial(check_completeness, sum_oracle(2), s2, budget=3000, seed=2),
+        "naive1-completeness": partial(check_completeness, naive_oracle(s1), s1, exhaustive=True),
+    }
+    # the first three programs of c06's stream, their functions cached as there
+    rng = random.Random(606)
+    for i in range(3):
+        _, sfn, oracle = logic_instance(random_horn_program(rng, m_max=8))
+        cached = SymbolicFunction(sfn.domains, sfn.output_domain, lru_cache(maxsize=None)(sfn.fn))
+        cases["horn%d-validity" % i] = partial(check_validity, oracle, cached, exhaustive=True)
+        cases["horn%d-completeness" % i] = partial(
+            check_completeness, oracle, cached, exhaustive=True
+        )
+    return cases
+
+
+# (passed, checked, counterexample[:3] with the valuation's cells, dropped);
+# dropped is pinned on passing reports only, since a failing one stops its
+# count at the failure
+PINNED_REPORTS = {
+    "sum1-validity": (True, 2420, None, 3600),
+    "sum2-validity": (True, 2000, None, 9189),
+    "exhaustive2-validity": (True, 500, None, 0),
+    "greedy-validity": (False, 2, ((None, None), 1, None), None),
+    "true-validity": (False, 1, ((6, None), 16, 1), None),
+    "sum1-completeness": (True, 2420, None, 0),
+    "sum2-completeness": (True, 3000, None, 0),
+    "naive1-completeness": (False, 20, ((None, None), 19, None), None),
+    "horn0-validity": (True, 1458, None, 0),
+    "horn0-completeness": (True, 1458, None, 0),
+    "horn1-validity": (True, 54, None, 0),
+    "horn1-completeness": (True, 54, None, 0),
+    "horn2-validity": (True, 13122, None, 0),
+    "horn2-completeness": (True, 13122, None, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_check_reports_pinned(name):
+    # a trial fails when some dropped value's child has a matching
+    # completion, so the reports do not depend on how completions are walked
+    passed, checked, counterexample, dropped = PINNED_REPORTS[name]
+    report = _check_cases()[name]()
+    assert (report.passed, report.checked) == (passed, checked)
+    if counterexample is None:
+        assert report.counterexample is None
+        assert report.dropped == dropped
+    else:
+        v, o, answer = report.counterexample[:3]
+        assert (v.cells, o, answer) == counterexample
+
+
+def _reference_truth(sfn, v, o):
+    kinds = {sfn.fn(w.cells) == o for w in total_completions(v, sfn.domains)}
+    return None if len(kinds) == 2 else int(kinds.pop())
+
+
+def test_exhaustive_oracle_matches_completion_truth(add1):
+    rng = random.Random(17)
+    functions = [add1] + [random_table_instance(rng, m_max=4, size_max=3)[1] for _ in range(10)]
+    for sfn in functions:
+        oracle = exhaustive_oracle(sfn)
+        axes = [[None, *range(dom.size)] for dom in sfn.domains]
+        for cells in itertools.product(*axes):
+            v = Valuation(cells)
+            for o in range(sfn.output_domain.size):
+                assert oracle(v, o).answer == _reference_truth(sfn, v, o), (sfn, v, o)
