@@ -46,7 +46,6 @@ from .core import (
     VERDICT_UNKNOWN,
     completion_count,
     fresh_valuation,
-    is_subvaluation,
     total_completions,
 )
 from .inference import (

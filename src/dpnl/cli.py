@@ -67,7 +67,14 @@ def _cross_check(name: str, got: float, reference: float, tol: float) -> int:
     return 0
 
 
+def _tol(args) -> float:
+    """The cross-check tolerance: ``--tol``, else the command's default."""
+    return args.default_tol if args.tol is None else args.tol
+
+
 def cmd_pwmc(args) -> int:
+    if not args.brute:
+        _reject_unread(args, "without --brute", "tol")
     with open(args.cnf) as fh:
         formula, file_weights = parse_dimacs(fh.read())
     if args.weights:
@@ -82,7 +89,7 @@ def cmd_pwmc(args) -> int:
     print("pwmc = %s" % _fmt(value))
     rc = 0
     if args.brute:
-        rc = _cross_check("brute", value, pwmc_bruteforce(formula, sigma), args.tol)
+        rc = _cross_check("brute", value, pwmc_bruteforce(formula, sigma), _tol(args))
     _emit(args, "pwmc", value, stats)
     return rc
 
@@ -127,6 +134,8 @@ def _read_program(path: str) -> logic_mod.HornProgram:
 
 
 def cmd_sum(args) -> int:
+    if not (args.brute or args.full):
+        _reject_unread(args, "without --brute or --full", "tol")
     spec, inst, _, oracle, order = _sum_query(args)
     rc = 0
     if args.full:
@@ -136,7 +145,7 @@ def cmd_sum(args) -> int:
             print("%d %s" % (o, _fmt(p)))
         total = sum(dist.values())
         print("total = %s" % _fmt(total))
-        if not abs(total - 1.0) <= args.tol:
+        if not abs(total - 1.0) <= _tol(args):
             print("distribution does not sum to 1 within tolerance", file=sys.stderr)
             rc = 1
         result = list(dist.values())
@@ -150,7 +159,7 @@ def cmd_sum(args) -> int:
         # the output whose value is farthest from the convolution reference
         ref = sum_distribution_reference(spec)
         o = max(dist, key=lambda o: abs(dist[o] - ref[o]))
-        rc = max(rc, _cross_check("reference P(sum = %d)" % o, dist[o], ref[o], args.tol))
+        rc = max(rc, _cross_check("reference P(sum = %d)" % o, dist[o], ref[o], _tol(args)))
     _emit(args, "sum", result, stats)
     return rc
 
@@ -225,7 +234,7 @@ def cmd_approx(args) -> int:
 
 def cmd_logic(args) -> int:
     if args.count_provenance:
-        _reject_unread(args, "with --count-provenance", "program", "brute")
+        _reject_unread(args, "with --count-provenance", "program", "brute", "tol")
         if args.nodes is None:
             raise InvalidInstanceError("--count-provenance needs --nodes")
         clauses = logic_mod.provenance_clause_count(args.nodes)
@@ -234,6 +243,8 @@ def cmd_logic(args) -> int:
         prog = logic_mod.reachability_program(args.nodes, table)
     else:
         _reject_unread(args, "without --count-provenance", "nodes", "edge_prob")
+        if not args.brute:
+            _reject_unread(args, "without --brute", "tol")
         if not args.program:
             raise InvalidInstanceError("need --program or --count-provenance")
         prog = _read_program(args.program)
@@ -250,7 +261,7 @@ def cmd_logic(args) -> int:
                 "--brute supports at most 12 probabilistic rules, program has %d" % prog.m
             )
         rc = _cross_check(
-            "brute", value, logic_mod.success_probability_bruteforce(prog), args.tol
+            "brute", value, logic_mod.success_probability_bruteforce(prog), _tol(args)
         )
     _emit(args, "logic", value, stats)
     return rc
@@ -266,10 +277,11 @@ def cmd_gradcheck(args) -> int:
         for a, nmr in zip(row_a, row_n)
     ]
     max_rel = float(np.max(rels))  # unlike max(), np.max keeps a NaN
+    tol = _tol(args)
     print("value = %s" % _fmt(grad.value))
-    print("max_rel_err = %.3e  (tol %.1e)" % (max_rel, args.tol))
+    print("max_rel_err = %.3e  (tol %.1e)" % (max_rel, tol))
     rc = 0
-    if not max_rel <= args.tol:
+    if not max_rel <= tol:
         print("gradient check FAILED", file=sys.stderr)
         rc = 1
     _emit(args, "gradcheck", max_rel, stats)
@@ -288,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--json", help="write the JSON run report to this file")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol, help="cross-check tolerance")
-        p.set_defaults(fn=fn)
+            p.add_argument("--tol", type=float, help="cross-check tolerance (default %g)" % tol)
+        p.set_defaults(fn=fn, default_tol=tol)
         return p
 
     def sum_options(p):

@@ -60,14 +60,6 @@ class CnfFormula:
         self.clauses = tuple(kept)
         self.has_empty_clause = has_empty
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.clauses
-
-    def variables(self) -> set[int]:
-        """0-based indices of variables occurring in some clause."""
-        return {abs(lit) - 1 for clause in self.clauses for lit in clause}
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CnfFormula)

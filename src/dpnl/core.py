@@ -79,18 +79,6 @@ def fresh_valuation(m: int) -> Valuation:
     return Valuation([None] * m)
 
 
-def is_subvaluation(v_sub: Valuation, v: Valuation) -> bool:
-    """True iff ``v_sub`` agrees with ``v`` on every cell ``v`` assigns."""
-    if len(v_sub) != len(v):
-        raise InvalidInstanceError(
-            "length mismatch: %d vs %d" % (len(v_sub), len(v))
-        )
-    for a, b in zip(v_sub.cells, v.cells):
-        if b is not None and a != b:
-            return False
-    return True
-
-
 def total_completions(v: Valuation, domains: Sequence[Domain]) -> Iterator[Valuation]:
     """Stream of all total valuations extending ``v``.
 

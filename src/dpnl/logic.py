@@ -435,46 +435,31 @@ def success_probability_bruteforce(prog: HornProgram) -> float:
 # ---------------------------------------------------------------------------
 # program text format
 
-_ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(\((.*)\))?$")
-_CONST_RE = re.compile(r"^[a-z0-9][A-Za-z0-9_]*$")
-
-
-def _split_top_level(s: str, sep: str = ",") -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?")
+_CONST_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*")
+_QUERY_RE = re.compile(r"query\s*\((.*)\)")
+# a comma with no ")" before the next "(": in a list of valid atoms, or of
+# constant arguments, which nest no parentheses, exactly the depth-0 commas
+_SEP = re.compile(r",(?![^(]*\))")
 
 
 def _parse_atom(text: str, lineno: int) -> str:
     text = text.strip()
-    match = _ATOM_RE.match(text)
+    match = _ATOM_RE.fullmatch(text)
     if not match:
         raise ProgramError("cannot parse atom %r" % text, lineno)
-    name = match.group(1)
+    name, args_text = match.groups()
     if name[0].isupper() or name[0] == "_":
         raise ProgramError(
             "ground programs only: %r looks like a variable" % name, lineno
         )
-    args_text = match.group(3)
     if args_text is None:
         return name
-    args = [a.strip() for a in _split_top_level(args_text)]
-    if any(not a for a in args):
+    args = [a.strip() for a in _SEP.split(args_text)]
+    if not all(args):
         raise ProgramError("empty argument in %r" % text, lineno)
     for a in args:
-        if not _CONST_RE.match(a):
+        if not _CONST_RE.fullmatch(a):
             raise ProgramError(
                 "ground programs only: argument %r is not a constant" % a, lineno
             )
@@ -502,7 +487,7 @@ def parse_program(text: str) -> HornProgram:
         stmt = line[:-1].strip()
         if not stmt:
             raise ProgramError("empty statement", lineno)
-        query_match = re.match(r"^query\s*\((.*)\)$", stmt)
+        query_match = _QUERY_RE.fullmatch(stmt)
         if query_match:
             if query is not None:
                 raise ProgramError("duplicate query", lineno)
@@ -523,7 +508,7 @@ def parse_program(text: str) -> HornProgram:
         if ":-" in stmt:
             head_text, _, body_text = stmt.partition(":-")
             head = _parse_atom(head_text, lineno)
-            body = [_parse_atom(b, lineno) for b in _split_top_level(body_text)]
+            body = [_parse_atom(b, lineno) for b in _SEP.split(body_text)]
             deterministic.append((head, body))
             continue
         deterministic.append((_parse_atom(stmt, lineno), []))

@@ -277,17 +277,31 @@ def test_approx_rejects_unused_options(extra, capsys):
         (["logic", "--program", "PROGRAM", "--edge-prob", "0.5"], "--edge-prob"),
         (["gradcheck", "--program", "PROGRAM", "--order", "r2l"], "--order"),
         (["sum", "--n", "1", "--uniform", "--dists", "[]", "--sum", "4"], "--dists"),
+        # --tol without a cross-check to apply it to
+        (["pwmc", "--cnf", "CNF", "--tol", "5"], "--tol"),
+        (["sum", "--n", "1", "--uniform", "--sum", "4", "--tol", "5"], "--tol"),
+        (["logic", "--program", "PROGRAM", "--tol", "5"], "--tol"),
+        (["logic", "--count-provenance", "--nodes", "4", "--tol", "5"], "--tol"),
     ],
     ids=[
         "sum-full", "logic-provenance", "logic-program", "approx-program", "gradcheck-program",
         "brute", "edge-prob", "order", "dists",
+        "tol-pwmc", "tol-sum", "tol-logic", "tol-provenance",
     ],
 )
-def test_unread_options_are_usage_errors(argv, option, program_file, capsys):
+def test_unread_options_are_usage_errors(argv, option, program_file, cnf_file, capsys):
     # an option that the chosen mode never reads is rejected, not dropped
-    argv = [program_file if a == "PROGRAM" else a for a in argv]
+    files = {"PROGRAM": program_file, "CNF": cnf_file}
+    argv = [files.get(a, a) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: %s does not apply " % option)
+
+
+def test_tol_is_read_by_full_distribution_check(capsys):
+    # a given --tol is honoured where a check reads it: the --full total
+    assert main(["sum", "--n", "1", "--uniform", "--full", "--tol", "1e-9"]) == 0
+    assert main(["sum", "--n", "1", "--uniform", "--full", "--tol", "-1"]) == 1
+    assert "does not sum to 1" in capsys.readouterr().err
 
 
 def test_approx_time_budget(capsys):

@@ -33,7 +33,7 @@ def test_parse_basic():
 def test_parse_empty_formula():
     formula, _ = parse_dimacs("p cnf 1 0\n")
     assert formula.num_vars == 1
-    assert formula.is_empty
+    assert formula.clauses == ()
 
 
 def test_parse_weight_lines():
@@ -135,7 +135,7 @@ def test_branch_identity():
     for _ in range(25):
         g, sigma = random_cnf(rng, max_vars=8, max_clauses=15)
         whole = pwmc_bruteforce(g, sigma)
-        for var in sorted(g.variables()):
+        for var in sorted({abs(lit) - 1 for clause in g.clauses for lit in clause}):
             split = sigma[var] * pwmc_bruteforce(condition(g, var, True), sigma) + (
                 1.0 - sigma[var]
             ) * pwmc_bruteforce(condition(g, var, False), sigma)
@@ -154,7 +154,7 @@ def _reference_probdpll(g, sigma, stats):
     """ProbDPLL as plain recursion on ``condition``-ed copies: split on the
     variable with the most occurrences, lowest index on ties, X=1 first."""
     stats.oracle_calls += 1
-    if g.is_empty:
+    if not g.clauses:
         stats.leaves_true += 1
         return 1.0
     if g.has_empty_clause:

@@ -421,6 +421,53 @@ def test_parse_program_error_line_numbers():
         parse_program("query(a).\nquery(b).\n")
 
 
+@pytest.mark.parametrize(
+    "statements, message",
+    [
+        ("a.\nb :- a", "line 2: statement does not end with '.'"),
+        (".", "line 1: empty statement"),
+        ("p(a,).", "line 1: empty argument in 'p(a,)'"),
+        ("p().", "line 1: empty argument in 'p()'"),
+        ("p(f(a,b)).", "line 1: ground programs only: argument 'f(a,b)' is not a constant"),
+        ("p(a, g(b)).", "line 1: ground programs only: argument 'g(b)' is not a constant"),
+        ("p(a b).", "line 1: ground programs only: argument 'a b' is not a constant"),
+        ("_x.", "line 1: ground programs only: '_x' looks like a variable"),
+        ("a :- .", "line 1: cannot parse atom ''"),
+        ("p :- q(.", "line 1: cannot parse atom 'q('"),
+        ("p :- f(g(a), b).", "line 1: ground programs only: argument 'g(a)' is not a constant"),
+        ("0.5 :: a :- b.", "line 1: probabilistic rules with bodies are not supported"),
+        ("x :: a.", "line 1: malformed probability 'x'"),
+    ],
+)
+def test_parse_program_error_messages(statements, message):
+    with pytest.raises(ProgramError) as err:
+        parse_program(statements + "\nquery(a).\n")
+    assert str(err.value) == message
+    assert message.startswith("line %d: " % err.value.line)
+
+
+@pytest.mark.parametrize(
+    "text, atoms, det, prob",
+    [
+        ("edge( n1 , n2 ).\nquery(edge(n1,n2)).\n", ["edge(n1,n2)"], [(0, ())], []),
+        (
+            "a :- b ,c.\r\nb.\r\n0.5 :: c.\r\nquery(a).\r\n",
+            ["a", "b", "c"],
+            [(0, (1, 2)), (1, ())],
+            [(2, ())],
+        ),
+        ("0.5 :: a.\nquery (a).\n", ["a"], [], [(0, ())]),
+        ("a. % fact, with (parens)\nquery(a).\n", ["a"], [(0, ())], []),
+    ],
+    ids=["spaced-args", "crlf", "query-space", "comment"],
+)
+def test_parse_program_accepted_forms(text, atoms, det, prob):
+    prog = parse_program(text)
+    assert prog.atom_names == atoms
+    assert (prog.det_rules, prog.prob_rules, prog.query) == (det, prob, 0)
+    assert prog.probs == [0.5] * len(prob)
+
+
 # ---------------------------------------------------------------------------
 # annotated disjunctions
 
