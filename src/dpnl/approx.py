@@ -25,6 +25,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
@@ -43,7 +44,11 @@ class Bounds:
 
     @property
     def estimate(self) -> float:
-        return math.sqrt(self.low * self.up)
+        product = self.low * self.up
+        if product >= sys.float_info.min:  # a normal float, rounded once
+            return math.sqrt(product)
+        # the product underflowed; the square roots cannot
+        return min(max(math.sqrt(self.low) * math.sqrt(self.up), self.low), self.up)
 
     @property
     def gap(self) -> float:
@@ -64,10 +69,13 @@ class EpsMultiplicative(StopPolicy):
     def __init__(self, eps: float):
         if not eps > 0:
             raise ValueError("eps must be > 0")
-        self.eps = eps
+        try:
+            self.factor = (1.0 + eps) ** 2
+        except OverflowError:  # as for eps = inf: stop once low > 0
+            self.factor = math.inf
 
     def should_stop(self, low: float, up: float, elapsed: float) -> bool:
-        return up <= low * (1.0 + self.eps) ** 2
+        return up <= low * self.factor
 
 
 class EpsAdditive(StopPolicy):

@@ -7,8 +7,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import approx as approx_mod
 from . import logic as logic_mod
 from .cnf import parse_dimacs, parse_weights, probdpll, pwmc_bruteforce, WeightMap
@@ -268,6 +266,8 @@ def cmd_logic(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    import numpy as np
+
     inst, sfn, oracle, order, target = _query_from_args(args)
     grad, stats = dpnl_gradient(inst, target, oracle, order=order)
     numeric = finite_difference_partials(inst, sfn, target, h=args.h)
@@ -276,7 +276,7 @@ def cmd_gradcheck(args) -> int:
         for row_a, row_n in zip(grad.partials, numeric)
         for a, nmr in zip(row_a, row_n)
     ]
-    max_rel = float(np.max(rels))  # unlike max(), np.max keeps a NaN
+    max_rel = float(np.max(rels)) if rels else 0.0  # unlike max(), np.max keeps a NaN
     tol = _tol(args)
     print("value = %s" % _fmt(grad.value))
     print("max_rel_err = %.3e  (tol %.1e)" % (max_rel, tol))

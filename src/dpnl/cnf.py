@@ -5,8 +5,6 @@ from __future__ import annotations
 import time
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core import QueryStats, SizeLimitError
 
 BRUTEFORCE_VAR_LIMIT = 24
@@ -26,17 +24,15 @@ class CnfFormula:
     Literals use the DIMACS convention: ``+(v+1)`` for variable ``v`` positive,
     ``-(v+1)`` negated. At construction, repeated literals within a clause
     are dropped and so are tautological clauses (containing both X and
-    not-X), so "no clauses" and "contains the empty clause" are O(1) states.
-    Duplicate clauses are kept, and each counts in ``probdpll``'s pick.
+    not-X). Duplicate clauses are kept, and each counts in ``probdpll``'s pick.
     """
 
-    __slots__ = ("num_vars", "clauses", "has_empty_clause")
+    __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
         if num_vars < 0:
             raise ValueError("negative variable count")
         kept = []
-        has_empty = False
         for clause in clauses:
             lits = []
             seen = set()
@@ -53,12 +49,9 @@ class CnfFormula:
                     lits.append(lit)
             if tautological:
                 continue
-            if not lits:
-                has_empty = True
             kept.append(tuple(lits))
         self.num_vars = num_vars
         self.clauses = tuple(kept)
-        self.has_empty_clause = has_empty
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,20 +200,15 @@ def condition(g: CnfFormula, var: int, value: bool) -> CnfFormula:
     lit_false = -lit_true
     out = CnfFormula.__new__(CnfFormula)
     kept = []
-    has_empty = g.has_empty_clause
     for clause in g.clauses:
         if lit_true in clause:
             continue
         if lit_false in clause:
-            reduced = tuple(l for l in clause if l != lit_false)
-            if not reduced:
-                has_empty = True
-            kept.append(reduced)
+            kept.append(tuple(l for l in clause if l != lit_false))
         else:
             kept.append(clause)
     out.num_vars = g.num_vars
     out.clauses = tuple(kept)
-    out.has_empty_clause = has_empty
     return out
 
 
@@ -362,6 +350,8 @@ def pwmc_bruteforce(g: CnfFormula, sigma: WeightMap) -> float:
     ``BRUTEFORCE_VAR_LIMIT`` variables. Independent of the DPLL recursion, so
     it serves as its oracle in tests.
     """
+    import numpy as np
+
     n = g.num_vars
     if n > BRUTEFORCE_VAR_LIMIT:
         raise SizeLimitError("brute force refuses %d > %d variables" % (n, BRUTEFORCE_VAR_LIMIT))

@@ -74,8 +74,8 @@ class Valuation:
 
 def fresh_valuation(m: int) -> Valuation:
     """All-unassigned valuation of length ``m``."""
-    if m < 1:
-        raise InvalidInstanceError("variable count must be >= 1, got %r" % (m,))
+    if m < 0:
+        raise InvalidInstanceError("variable count must be >= 0, got %r" % (m,))
     return Valuation([None] * m)
 
 
@@ -153,8 +153,6 @@ class Instance:
             if total <= 0.0:
                 raise InvalidInstanceError("row %d has zero total mass" % k)
             probs.append(tuple(w / total for w in ws))
-        if not probs:
-            raise InvalidInstanceError("instance needs at least one variable")
         self.m = len(probs)
         self.probs = tuple(probs)
         self.output_domain = output_domain

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from itertools import compress, count, islice, repeat
 from operator import is_, ne
 from typing import Iterable, Optional, Sequence
@@ -390,8 +389,6 @@ def applicable_rule_order(prog: HornProgram) -> VariableOrder:
 def logic_instance(prog: HornProgram) -> tuple[Instance, SymbolicFunction, Oracle]:
     """Inference problem for the query: one binary variable per probabilistic
     rule (1 = present, with the annotated probability), output 1 = success."""
-    if prog.m == 0:
-        raise InvalidInstanceError("program has no probabilistic rules")
     solver = prog.solver()
 
     def fn(args: tuple[int, ...]) -> int:
@@ -407,11 +404,6 @@ def success_probability(
     order: Optional[VariableOrder] = None,
 ) -> tuple[float, QueryStats]:
     """Probability that the query succeeds, by oracle-guided search."""
-    if prog.m == 0:
-        start = time.perf_counter()
-        value = 1.0 if prog.solver().entails_committed(()) else 0.0
-        stats = QueryStats(wall_time=time.perf_counter() - start)
-        return value, stats
     inst, _, oracle = logic_instance(prog)
     if order is None:
         order = applicable_rule_order(prog)
@@ -426,8 +418,6 @@ def success_probability_bruteforce(prog: HornProgram) -> float:
     oracle-guided search. It enumerates 2^m subsets and refuses programs
     beyond ``BRUTEFORCE_TUPLE_LIMIT`` tuples (m <= 23).
     """
-    if prog.m == 0:
-        return 1.0 if prog.solver().entails_committed(()) else 0.0
     inst, sfn, _ = logic_instance(prog)
     return bruteforce_probability(inst, sfn, 1)
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     Domain,
     Instance,
@@ -267,6 +265,8 @@ def sum_distribution_reference(spec: SumInstanceSpec) -> list[float]:
     recursive computation on sum instances. Each row is normalised by its
     ``math.fsum`` total, as ``Instance`` does.
     """
+    import numpy as np
+
     n = spec.n
 
     def summand(rows: Sequence[Sequence[float]]) -> list[float]:

@@ -52,6 +52,10 @@ def test_bounds_estimate():
     b = Bounds(0.04, 0.25)
     assert abs(b.estimate - 0.1) <= 1e-12
     assert b.low <= b.estimate <= b.up
+    # low * up underflows to 0; the estimate stays the geometric mean
+    tiny = Bounds(1e-200, 2e-200)
+    assert tiny.low <= tiny.estimate <= tiny.up
+    assert math.isclose(tiny.estimate, math.sqrt(2.0) * 1e-200, rel_tol=1e-12)
 
 
 def test_exhaustive_stop_reproduces_exact():
@@ -79,6 +83,19 @@ def test_eps_multiplicative_guarantee():
             assert r == 0.0
         else:
             assert exact / 1.1 - 1e-12 <= r <= exact * 1.1 + 1e-12
+
+
+def test_eps_multiplicative_overflowing_eps_stops_as_infinite_eps():
+    rng = random.Random(3)
+    inst, oracle, order = sum_setup(rng)
+    for o in range(20):
+        runs = [
+            approx_dpnl(inst, o, oracle, EpsMultiplicative(eps), MaxProbability(), order=order)
+            for eps in (1e200, math.inf)
+        ]
+        (huge, huge_stats), (inf, inf_stats) = runs
+        assert huge == inf
+        assert huge_stats.oracle_calls == inf_stats.oracle_calls
 
 
 def test_eps_additive_guarantee():

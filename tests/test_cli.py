@@ -174,6 +174,23 @@ def test_module_entry_point_reports_usage_errors():
     assert "Traceback" not in done.stderr
 
 
+def test_import_and_queries_leave_numpy_unloaded():
+    code = (
+        "import sys, dpnl, dpnl.cli\n"
+        "inst, _, oracle = dpnl.build_sum_instance(dpnl.SumInstanceSpec(1, [[0.1] * 10] * 2))\n"
+        "assert abs(dpnl.dpnl(inst, 4, oracle)[0] - 0.05) <= 1e-12\n"
+        "prog = dpnl.parse_program('0.5 :: a.\\nb :- a.\\nquery(b).\\n')\n"
+        "assert dpnl.success_probability(prog)[0] == 0.5\n"
+        "g = dpnl.CnfFormula(2, [[1, 2]])\n"
+        "assert abs(dpnl.probdpll(g, dpnl.WeightMap([0.5, 0.5])) - 0.75) <= 1e-12\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = [sys.executable, "-c", code]
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_sum_orders_agree(capsys):
     for order in ("r2l", "seq", "rev"):
         assert main(["sum", "--n", "1", "--uniform", "--sum", "9", "--order", order]) == 0
@@ -194,6 +211,16 @@ def test_approx_eps_mult_within_factor(capsys):
     estimate = float(out.split("estimate = ")[1].split()[0])
     exact = 0.0064  # 64 pairs of 10^4 digit combinations sum to 63
     assert exact / 1.1 <= estimate <= exact * 1.1
+
+
+def test_approx_eps_mult_overflowing_eps(capsys):
+    # (1 + 1e200)^2 overflows; the policy then stops, as eps = inf does, once low > 0
+    argv = ["approx", "--n", "1", "--uniform", "--sum", "4", "--stop", "eps-mult"]
+    assert main(argv + ["--eps", "1e200"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("low = ")[1].split()[0]) > 0.0
+    assert main(argv + ["--eps", "inf"]) == 0
+    assert capsys.readouterr().out.split("stats:")[0] == out.split("stats:")[0]
 
 
 def test_approx_trace_file(tmp_path):
@@ -381,6 +408,21 @@ def test_gradcheck_program(program_file, capsys):
     assert main(["gradcheck", "--program", program_file]) == 0
     rel = float(capsys.readouterr().out.split("max_rel_err = ")[1].split()[0])
     assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("body, value", [("a", "1"), ("c", "0")])
+@pytest.mark.parametrize(
+    "argv, label",
+    [(["logic", "--brute"], "P(query)"), (["approx", "--stop", "exhaustive"], "low"), (["gradcheck"], "value")],
+)
+def test_program_without_probabilistic_rules(argv, label, body, value, tmp_path, capsys):
+    path = tmp_path / "det.pl"
+    path.write_text("a.\nb :- %s.\nquery(b).\n" % body)
+    assert main([argv[0], "--program", str(path)] + argv[1:]) == 0
+    out = capsys.readouterr().out
+    assert "%s = %s\n" % (label, value) in out
+    if argv[0] == "gradcheck":
+        assert "max_rel_err = 0.000e+00" in out
 
 
 @pytest.mark.parametrize("command", ["approx", "gradcheck"])

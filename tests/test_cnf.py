@@ -78,17 +78,16 @@ def test_construction_cleans_clauses():
     g = CnfFormula(2, [[1, -1], [1, 1, 2]])
     # tautology dropped, duplicate literal deduplicated
     assert g.clauses == ((1, 2),)
-    assert not g.has_empty_clause
     # duplicate clauses are both kept
     assert CnfFormula(2, [[1, 2], [1, 2]]).clauses == ((1, 2), (1, 2))
-    assert CnfFormula(1, [[]]).has_empty_clause
+    assert () in CnfFormula(1, [[]]).clauses
 
 
 def test_condition_examples():
     g = CnfFormula(3, [[1, 2], [-1, 3]])
     assert condition(g, 0, True).clauses == ((3,),)
     g2 = CnfFormula(1, [[1]])
-    assert condition(g2, 0, False).has_empty_clause
+    assert () in condition(g2, 0, False).clauses
     g3 = CnfFormula(3, [[1, 2]])
     assert condition(g3, 2, True) == g3  # unused variable: no change
 
@@ -157,7 +156,7 @@ def _reference_probdpll(g, sigma, stats):
     if not g.clauses:
         stats.leaves_true += 1
         return 1.0
-    if g.has_empty_clause:
+    if () in g.clauses:
         stats.leaves_false += 1
         return 0.0
     stats.branch_nodes += 1

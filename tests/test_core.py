@@ -23,9 +23,12 @@ def test_fresh_valuation():
     assert fresh_valuation(1).cells == (None,)
 
 
-def test_fresh_valuation_rejects_zero():
+def test_fresh_valuation_rejects_negative():
+    v = fresh_valuation(0)
+    assert v.cells == ()
+    assert v.is_total
     with pytest.raises(InvalidInstanceError):
-        fresh_valuation(0)
+        fresh_valuation(-1)
 
 
 def test_assign_is_copy_on_write():
@@ -100,8 +103,8 @@ def test_domain_validation():
 
 
 def test_instance_validation():
-    with pytest.raises(InvalidInstanceError):
-        Instance([], Domain(2))
+    empty = Instance([], Domain(2))
+    assert (empty.m, empty.probs) == (0, ())
     inst = Instance([[1.0, 3.0]], Domain(2))
     assert inst.m == 1
     assert inst.probs[0][1] == 0.75

@@ -21,6 +21,7 @@ from dpnl import (
     approx_dpnl,
     check_completeness,
     check_validity,
+    dpnl,
     dpnl_gradient,
     entails,
     finite_difference_partials,
@@ -145,12 +146,23 @@ def test_success_probability_brute_checks_problog_semantics():
     assert abs(success_probability_bruteforce(prog) - expected) <= 1e-12
 
 
-def test_deterministic_query_probability_one():
-    prog = parse_program("a.\nb :- a.\nquery(b).\n")
-    assert prog.m == 0
-    value, _ = success_probability(prog)
-    assert value == 1.0
-    assert success_probability_bruteforce(prog) == 1.0
+@pytest.mark.parametrize("body, expected", [("a", 1.0), ("c", 0.0)])
+def test_program_without_probabilistic_rules_is_a_zero_variable_query(body, expected):
+    prog = parse_program("a.\nb :- %s.\nquery(b).\n" % body)
+    inst, _, oracle = logic_instance(prog)
+    assert (prog.m, inst.m) == (0, 0)
+    value, stats = success_probability(prog)
+    assert value == expected
+    assert (stats.oracle_calls, stats.branch_nodes) == (1, 0)
+    assert stats.leaves_true + stats.leaves_false == 1
+    assert dpnl(inst, 1, oracle)[0] == expected
+    grad, _ = dpnl_gradient(inst, 1, oracle)
+    assert (grad.value, grad.partials) == (expected, [])
+    bounds, _ = approx_dpnl(inst, 1, oracle, Exhaustive(), MaxProbability())
+    # each bound update is rounded outward, so low may sit one ulp below 1
+    assert bounds.low <= expected <= bounds.up
+    assert expected - bounds.low <= 1e-15
+    assert success_probability_bruteforce(prog) == expected
 
 
 def test_reachability_two_nodes():
