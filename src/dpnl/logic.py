@@ -155,6 +155,14 @@ class _Solver:
     The oracle's answer (``verdict``) and the variable order (``choose``)
     are read from this state: the derived atoms and the missing counts.
 
+    The program's landmarks are computed once, at construction: the
+    probabilistic rules that every derivation of the query uses
+    (``_landmarks``). A valuation only removes rules, so a landmark of the
+    program is a landmark of every sub-program the search visits.
+    ``_commit`` walks the changed cells anyway, and keeps ``dead``, the
+    number of landmark rules assigned 0, plus 1 when no rule set derives the
+    query at all.
+
     The state is mutable and shared by everything built on one program: its
     oracle, its variable order and its ``SymbolicFunction``. Interleaved
     calls are safe, because each call commits its own valuation before it
@@ -180,6 +188,12 @@ class _Solver:
         self.cells: tuple = (None,) * prog.m  # the committed valuation
         # see verdict
         self.certificate: Optional[list[int]] = None
+        landmarks = _landmarks(rules, prog.m, prog.query, watchers)
+        self.landmark = bytearray(prog.m)  # 1 for each landmark rule
+        for k, bit in enumerate(bin(landmarks or 0)[:1:-1]):
+            if bit == "1":
+                self.landmark[k] = 1
+        self.dead = 1 if landmarks is None else 0
         self._enable(range(prog.m, len(rules)))
 
     def _enable(self, rules: Iterable[int]) -> None:
@@ -232,11 +246,14 @@ class _Solver:
                 "valuation length %d does not match %d rules" % (len(cells), len(prev))
             )
         enabled = self.enabled
+        landmark = self.landmark
         level_rules = self.level_rules
         level_of = self.level_of
         new = []
         lowest = len(level_rules)
         for k in compress(count(), map(ne, cells, prev)):
+            if landmark[k]:
+                self.dead += (cells[k] == 0) - (prev[k] == 0)
             if cells[k] == 1:
                 new.append(k)
             elif enabled[k]:
@@ -280,18 +297,25 @@ class _Solver:
         fired, so while none of them is assigned 0 the optimistic answer is
         yes without propagation.
 
+        Before the certificate and the optimistic run, the answer is 0 while
+        ``dead`` is positive: a landmark rule assigned 0 leaves the
+        optimistic rules without one that every derivation uses, so this
+        answers 0 only where the optimistic run would, without running it.
+
         A call costs the change of the committed rules since the previous
-        call, plus one optimistic run and its undo when those fail and the
-        certificate does not hold. A chain ``a_{k+1} :- a_k, f_k`` of m facts
-        is therefore still O(m^2) per search, with a small constant: the
-        ``f_k = 0`` child at depth k enables the m - k - 1 unassigned facts.
+        call, plus one optimistic run and its undo when no landmark decides
+        and the certificate does not hold. On a chain ``a_{k+1} :- a_k, f_k``
+        every fact is a landmark, so no ``f_k = 0`` child runs the
+        propagation. What each call still costs in O(m), at C speed, is the
+        tuple compare in ``_commit``, the certificate check and the engine's
+        ``Valuation`` copies.
         """
         self._commit(cells)
         derived = self.derived
         query = self.query
         if derived[query]:
             return 1
-        if None not in cells:
+        if self.dead or None not in cells:
             return 0
         cert = self.certificate
         if cert is not None and 0 not in map(cells.__getitem__, cert):
@@ -340,6 +364,56 @@ class _Solver:
         if None not in cells:
             raise InvalidInstanceError("no unassigned variable to choose")
         return cells.index(None)
+
+
+def _landmarks(
+    rules: Sequence[tuple[int, tuple[int, ...]]],
+    m: int,
+    query: int,
+    watchers: Sequence[Sequence[int]],
+) -> Optional[int]:
+    """The probabilistic rules (those below index ``m``) that every
+    derivation of the query uses, as a bitset; None when no rule set derives
+    the query.
+
+    The greatest fixpoint of LM(a) = the intersection, over a's rules r, of
+    LM(r) = {r if r < m} | the union of LM(b) over r's body, where an atom's
+    set is unset ("every rule") until the atom is first derived: landmarks
+    of an AND/OR graph (Hoffmann, Porteous and Sebastia, JAIR 2004; Keyder,
+    Richter and Helmert, ECAI 2010). Sets are Python ints, one bit per
+    probabilistic rule. A worklist starts from the bodiless rules; a rule is
+    queued once its body is derived, and again whenever the set of one of
+    its body atoms shrinks. Each set shrinks at most ``m`` times whatever
+    the rule order, where a loop of passes until nothing changes needs one
+    pass per link on a chain listed backwards: O(m^2) rule visits.
+    """
+    lm: list[Optional[int]] = [None] * len(watchers)
+    missing = [len(b) for _, b in rules]
+    work = [r for r, (_, body) in enumerate(rules) if not body]  # the queue
+    queued = bytearray(len(rules))
+    for r in work:
+        queued[r] = 1
+    for r in work:
+        queued[r] = 0
+        head, body = rules[r]
+        s = 1 << r if r < m else 0
+        for b in body:
+            s |= lm[b]
+        old = lm[head]
+        if old is None:
+            lm[head] = s
+            for c in watchers[head]:
+                missing[c] -= 1
+                if not missing[c]:
+                    queued[c] = 1
+                    work.append(c)
+        elif old & ~s:
+            lm[head] = old & s
+            for c in watchers[head]:
+                if not missing[c] and not queued[c]:
+                    queued[c] = 1
+                    work.append(c)
+    return lm[query]
 
 
 def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> bool:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -262,6 +263,94 @@ def _horn_programs(rng, count, m_max, nodes):
     return progs
 
 
+def _landmark_set(prog):
+    return {k for k, flag in enumerate(prog.solver().landmark) if flag}
+
+
+def _removal_landmarks(prog):
+    """The definition: a rule is a landmark when the program entails the
+    query and the program without that rule does not."""
+    def entailed(mask):
+        return prog.query in naive_derived(horn_rules(prog, mask))
+
+    if not entailed([1] * prog.m):
+        return set()
+    return {r for r in range(prog.m) if not entailed([k != r for k in range(prog.m)])}
+
+
+def test_landmarks_match_removal_definition():
+    found = 0
+    for prog in _horn_programs(random.Random(26), 300, 8, (3, 4)):
+        landmarks = _landmark_set(prog)
+        assert landmarks == _removal_landmarks(prog), prog
+        entailed = prog.query in naive_derived(horn_rules(prog, [1] * prog.m))
+        assert prog.solver().dead == (0 if entailed else 1)
+        value, _ = success_probability(prog)
+        assert abs(value - success_probability_bruteforce(prog)) <= 1e-12
+        found += len(landmarks)
+    assert found >= 50
+
+
+def _program(det, facts, query):
+    return HornProgram(det, [(0.5, f, []) for f in facts], query)
+
+
+def test_landmarks_hand_built():
+    chain = _program(
+        [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(4)],
+        ["f%d" % k for k in range(4)],
+        "a4",
+    )
+    assert _landmark_set(chain) == {0, 1, 2, 3}
+    # two paths from r1 to r4 share the edges into r1 and out of r4
+    diamond = _program(
+        [("r0", []), ("r1", ["r0", "e01"]), ("r2", ["r1", "e12"]), ("r3", ["r1", "e13"]),
+         ("r4", ["r2", "e24"]), ("r4", ["r3", "e34"]), ("r5", ["r4", "e45"])],
+        ["e01", "e12", "e13", "e24", "e34", "e45"],
+        "r5",
+    )
+    assert _landmark_set(diamond) == {0, 5}
+    # a is derived from p1 and p2 first, then from p1 alone through x and y;
+    # b closes the cycle x -> y -> a -> b -> x, and the sets of a and of b
+    # shrink after b is first set
+    cycle = _program(
+        [("a", ["p1", "p2"]), ("x", ["p1"]), ("y", ["x"]), ("a", ["y"]),
+         ("b", ["a", "p3"]), ("x", ["b"])],
+        ["p1", "p2", "p3"],
+        "b",
+    )
+    assert _landmark_set(cycle) == {0, 2}
+    for prog in (chain, diamond, cycle):
+        assert _landmark_set(prog) == _removal_landmarks(prog)
+        assert prog.solver().dead == 0
+    dead = _program([("q", ["r"]), ("r", ["q", "f0"])], ["f0", "f1"], "q")
+    assert _landmark_set(dead) == set()
+    assert dead.solver().dead == 1
+    value, stats = success_probability(dead)
+    assert value == 0.0
+    assert stats.oracle_calls == 1
+
+
+@pytest.mark.parametrize("arrange", ["reversed", "shuffled"])
+def test_landmark_pass_is_a_worklist(arrange):
+    """A loop of passes until nothing changes needs one pass per link when
+    the chain's rules are listed backwards, O(m^2) rule visits here."""
+    m = 5000
+    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
+    facts = ["f%d" % k for k in range(m)]
+    if arrange == "reversed":
+        det.reverse()
+        facts.reverse()
+    else:
+        random.Random(5000).shuffle(det)
+    prog = _program(det, facts, "a%d" % m)
+    start = time.perf_counter()
+    solver = prog.solver()
+    elapsed = time.perf_counter() - start
+    assert sum(solver.landmark) == m
+    assert elapsed < 1.0, elapsed
+
+
 def _documented_choice(prog, v, derived):
     """The first free index of the first non-empty tier in
     ``applicable_rule_order``'s docstring, against the derived atom set."""
@@ -284,33 +373,44 @@ def _documented_choice(prog, v, derived):
 def test_solver_random_walk_matches_naive_fixpoint():
     """Interleaved queries on one solver state, along a walk that descends
     one cell at a time, backtracks to earlier prefixes, jumps to random
-    valuations and sets certificate rules and committed rules to 0."""
+    valuations, sets certificate rules and committed rules to 0 and steps
+    landmark rules along 0 -> None -> 1, so the count of landmarks assigned
+    0 both rises and falls."""
     rng = random.Random(23)
+    dead_moves = set()
     for prog in _horn_programs(random.Random(22), 30, 8, (3, 4)):
         m = prog.m
         solver = prog.solver()
         oracle = logic_oracle(prog)
         order = applicable_rule_order(prog)
+        landmarks = _landmark_set(prog)
+        underivable = prog.query not in naive_derived(horn_rules(prog, [1] * m))
         history = [fresh_valuation(m)]
         kinds = set()
+        dead = solver.dead
         for step in range(240):
             v = history[-1]
             move = rng.random()
             free = v.free_indices()
-            if move < 0.45 and free:
+            if move < 0.4 and free:
                 kinds.add("assign")
                 history.append(v.assign(rng.choice(free), rng.randint(0, 1)))
-            elif move < 0.65 and len(history) > 1:
+            elif move < 0.6 and len(history) > 1:
                 kinds.add("backtrack")
                 del history[rng.randrange(1, len(history)):]
-            elif move < 0.8:
+            elif move < 0.72:
                 kinds.add("jump")
                 history = [Valuation([rng.choice([0, 1, None]) for _ in range(m)])]
-            else:
+            elif move < 0.86:
                 kinds.add("zero")
                 targets = set(solver.certificate or ()) | {k for k, c in enumerate(v) if c == 1}
                 if targets:
                     history.append(v.assign(rng.choice(sorted(targets)), 0))
+            else:
+                kinds.add("landmark")  # one step along 0 -> None -> 1 -> 0
+                if landmarks:
+                    k = rng.choice(sorted(landmarks))
+                    history.append(v.assign(k, {0: None, None: 1, 1: 0}[v[k]]))
             v = history[-1]
             committed = naive_derived(horn_rules(prog, [c == 1 for c in v]))
             optimistic = naive_derived(horn_rules(prog, [c != 0 for c in v]))
@@ -326,9 +426,13 @@ def test_solver_random_walk_matches_naive_fixpoint():
             rng.shuffle(checks)
             for check in checks:
                 assert check(), (prog, step, v)
-        assert kinds == {"assign", "backtrack", "jump", "zero"}
+            assert solver.dead == underivable + sum(v[k] == 0 for k in landmarks)
+            dead_moves.add((solver.dead > dead) - (solver.dead < dead))
+            dead = solver.dead
+        assert kinds == {"assign", "backtrack", "jump", "zero", "landmark"}
         with pytest.raises(InvalidInstanceError):
             oracle(Valuation([None] * (m + 1)), 1)
+    assert dead_moves == {-1, 0, 1}
 
 
 def test_approx_exhaustive_on_horn_programs_matches_bruteforce():
@@ -356,12 +460,13 @@ def test_horn_gradient_matches_finite_differences():
 
 def test_deep_chain_oracle_walk():
     """The search path of a 5,000-fact chain, walked without the engine:
-    propagation must not recurse, and the certificate must not answer
-    unknown where the answer is 0."""
+    propagation must not recurse, and every fact is a landmark, so each
+    ``f_k = 0`` child is answered 0 and never unknown."""
     m = 5000
     det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
     prob = [(0.99, "f%d" % k, []) for k in range(m)]
     prog = HornProgram(det, prob, "a%d" % m)
+    assert sum(prog.solver().landmark) == m
     oracle = logic_oracle(prog)
     cells = [None] * m
     for k in range(m):
@@ -371,6 +476,31 @@ def test_deep_chain_oracle_walk():
         assert oracle(Valuation(cells), 1).answer == (1 if k == m - 1 else None), k
     facts = [("f%d" % k, []) for k in range(m)]
     assert entails(det + facts, "a%d" % m)
+
+
+def test_deep_chain_with_alternatives_runs_the_optimistic_propagation():
+    """Two facts per link, ``a_{k+1} :- a_k, f_k`` and ``a_{k+1} :- a_k,
+    g_k``, leave no landmark, so only the optimistic run, 5,000 links deep
+    and without recursion, decides the 0 below."""
+    n = 5000
+    det = [("a0", [])]
+    for k in range(n):
+        det += [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]), ("a%d" % (k + 1), ["a%d" % k, "g%d" % k])]
+    prog = _program(det, [x % k for k in range(n) for x in ("f%d", "g%d")], "a%d" % n)
+    assert _landmark_set(prog) == set()
+    oracle = logic_oracle(prog)
+    cells = [None] * (2 * n)
+    assert oracle(Valuation(cells), 1).answer is None
+    last = 2 * (n - 1)  # f of the last link, then its g
+    cells[last] = 0
+    assert oracle(Valuation(cells), 1).answer is None
+    cells[last + 1] = 0
+    assert oracle(Valuation(cells), 1).answer == 0
+    cells[last + 1] = 1
+    assert oracle(Valuation(cells), 1).answer is None
+    cells[0::2] = [1] * n
+    cells[last] = 0
+    assert oracle(Valuation(cells), 1).answer == 1
 
 
 def test_deep_chain_search_needs_no_call_stack():
