@@ -159,9 +159,14 @@ class _Solver:
     probabilistic rules that every derivation of the query uses
     (``_landmarks``). A valuation only removes rules, so a landmark of the
     program is a landmark of every sub-program the search visits.
-    ``_commit`` walks the changed cells anyway, and keeps ``dead``, the
-    number of landmark rules assigned 0, plus 1 when no rule set derives the
-    query at all.
+    ``_commit`` walks the changed cells anyway, and keeps three counts up to
+    date there:
+
+    - ``dead``, the number of landmark rules assigned 0, plus 1 when no rule
+      set derives the query at all;
+    - ``broken``, the number of rules of the current certificate (see
+      ``verdict``) assigned 0, against per-rule ``in_certificate`` flags;
+    - ``num_free``, the number of unassigned cells.
 
     The state is mutable and shared by everything built on one program: its
     oracle, its variable order and its ``SymbolicFunction``. Interleaved
@@ -186,8 +191,11 @@ class _Solver:
         self.level_starts: list[int] = []  # trail length when it was enabled
         self.level_of = [0] * prog.m  # level of each committed rule
         self.cells: tuple = (None,) * prog.m  # the committed valuation
+        self.num_free = prog.m
         # see verdict
         self.certificate: Optional[list[int]] = None
+        self.in_certificate = bytearray(prog.m)  # 1 for each certificate rule
+        self.broken = 0  # certificate rules assigned 0
         landmarks = _landmarks(rules, prog.m, prog.query, watchers)
         self.landmark = bytearray(prog.m)  # 1 for each landmark rule
         for k, bit in enumerate(bin(landmarks or 0)[:1:-1]):
@@ -247,14 +255,21 @@ class _Solver:
             )
         enabled = self.enabled
         landmark = self.landmark
+        in_certificate = self.in_certificate
         level_rules = self.level_rules
         level_of = self.level_of
         new = []
         lowest = len(level_rules)
         for k in compress(count(), map(ne, cells, prev)):
+            c = cells[k]
+            p = prev[k]
+            zeros = (c == 0) - (p == 0)
             if landmark[k]:
-                self.dead += (cells[k] == 0) - (prev[k] == 0)
-            if cells[k] == 1:
+                self.dead += zeros
+            if in_certificate[k]:
+                self.broken += zeros
+            self.num_free += (c is None) - (p is None)
+            if c == 1:
                 new.append(k)
             elif enabled[k]:
                 lowest = min(lowest, level_of[k])
@@ -295,7 +310,10 @@ class _Solver:
         derives the query leaves a certificate: the probabilistic rules not
         assigned 0 whose heads it derived. They include every rule that
         fired, so while none of them is assigned 0 the optimistic answer is
-        yes without propagation.
+        yes without propagation. The run that builds the certificate flags
+        its rules, in O(m) as building the list is; from then on ``_commit``
+        counts the flagged rules assigned 0 (``broken``), and the test reads
+        that count.
 
         Before the certificate and the optimistic run, the answer is 0 while
         ``dead`` is positive: a landmark rule assigned 0 leaves the
@@ -304,21 +322,22 @@ class _Solver:
 
         A call costs the change of the committed rules since the previous
         call, plus one optimistic run and its undo when no landmark decides
-        and the certificate does not hold. On a chain ``a_{k+1} :- a_k, f_k``
-        every fact is a landmark, so no ``f_k = 0`` child runs the
-        propagation. What each call still costs in O(m), at C speed, is the
-        tuple compare in ``_commit``, the certificate check and the engine's
-        ``Valuation`` copies.
+        and the certificate does not hold. The landmark, totality and
+        certificate tests each read a count that ``_commit`` keeps, in O(1).
+        On a chain ``a_{k+1} :- a_k, f_k`` every fact is a landmark, so no
+        ``f_k = 0`` child runs the propagation, and the root call's
+        certificate answers every ``f_k = 1`` child. What each call still
+        costs in O(m), at C speed, is the compare of the valuation with the
+        committed one in ``_commit`` and the engine's ``Valuation`` copies.
         """
         self._commit(cells)
         derived = self.derived
         query = self.query
         if derived[query]:
             return 1
-        if self.dead or None not in cells:
+        if self.dead or not self.num_free:
             return 0
-        cert = self.certificate
-        if cert is not None and 0 not in map(cells.__getitem__, cert):
+        if self.certificate is not None and not self.broken:
             return None
         t = len(self.trail)
         free = list(compress(count(), map(is_, cells, repeat(None))))
@@ -326,9 +345,13 @@ class _Solver:
         found = derived[query]
         if found:
             heads = self.heads
-            self.certificate = [
-                r for r, c in enumerate(cells) if c != 0 and derived[heads[r]]
-            ]
+            cert = [r for r, c in enumerate(cells) if c != 0 and derived[heads[r]]]
+            in_certificate = bytearray(len(cells))
+            for r in cert:
+                in_certificate[r] = 1
+            self.certificate = cert
+            self.in_certificate = in_certificate
+            self.broken = 0
         self._undo(t)
         enabled = self.enabled
         for r in free:

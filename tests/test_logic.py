@@ -375,7 +375,8 @@ def test_solver_random_walk_matches_naive_fixpoint():
     one cell at a time, backtracks to earlier prefixes, jumps to random
     valuations, sets certificate rules and committed rules to 0 and steps
     landmark rules along 0 -> None -> 1, so the count of landmarks assigned
-    0 both rises and falls."""
+    0 both rises and falls. The counts of certificate rules assigned 0 and
+    of free cells are checked against a recount at every step."""
     rng = random.Random(23)
     dead_moves = set()
     for prog in _horn_programs(random.Random(22), 30, 8, (3, 4)):
@@ -427,6 +428,8 @@ def test_solver_random_walk_matches_naive_fixpoint():
             for check in checks:
                 assert check(), (prog, step, v)
             assert solver.dead == underivable + sum(v[k] == 0 for k in landmarks)
+            assert solver.broken == sum(v[k] == 0 for k in solver.certificate or ())
+            assert solver.num_free == v.cells.count(None)
             dead_moves.add((solver.dead > dead) - (solver.dead < dead))
             dead = solver.dead
         assert kinds == {"assign", "backtrack", "jump", "zero", "landmark"}
@@ -478,15 +481,21 @@ def test_deep_chain_oracle_walk():
     assert entails(det + facts, "a%d" % m)
 
 
+def _alternatives_chain(n):
+    """``a_{k+1} :- a_k, f_k`` and ``a_{k+1} :- a_k, g_k`` for n links; rule
+    2k is ``f_k`` and rule 2k + 1 is ``g_k``."""
+    det = [("a0", [])]
+    for k in range(n):
+        det += [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]), ("a%d" % (k + 1), ["a%d" % k, "g%d" % k])]
+    return _program(det, [x % k for k in range(n) for x in ("f%d", "g%d")], "a%d" % n)
+
+
 def test_deep_chain_with_alternatives_runs_the_optimistic_propagation():
     """Two facts per link, ``a_{k+1} :- a_k, f_k`` and ``a_{k+1} :- a_k,
     g_k``, leave no landmark, so only the optimistic run, 5,000 links deep
     and without recursion, decides the 0 below."""
     n = 5000
-    det = [("a0", [])]
-    for k in range(n):
-        det += [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]), ("a%d" % (k + 1), ["a%d" % k, "g%d" % k])]
-    prog = _program(det, [x % k for k in range(n) for x in ("f%d", "g%d")], "a%d" % n)
+    prog = _alternatives_chain(n)
     assert _landmark_set(prog) == set()
     oracle = logic_oracle(prog)
     cells = [None] * (2 * n)
@@ -501,6 +510,84 @@ def test_deep_chain_with_alternatives_runs_the_optimistic_propagation():
     cells[0::2] = [1] * n
     cells[last] = 0
     assert oracle(Valuation(cells), 1).answer == 1
+
+
+def test_certificate_count_returns_to_zero_without_a_new_run():
+    """Two facts per link leave no landmark, so the certificate decides.
+    With ``g_j`` assigned 0, assigning ``f_j`` 0 breaks the certificate and
+    the optimistic run answers 0, keeping it; putting ``f_j`` back to None
+    must answer unknown from the count alone, with the same certificate."""
+    n = 6
+    prog = _alternatives_chain(n)
+    assert _landmark_set(prog) == set()
+    solver = prog.solver()
+
+    def expected(cells):
+        if prog.query in naive_derived(horn_rules(prog, [c == 1 for c in cells])):
+            return 1
+        return None if prog.query in naive_derived(horn_rules(prog, [c != 0 for c in cells])) else 0
+
+    for j in range(n):
+        f, g = 2 * j, 2 * j + 1
+        cells = [None] * (2 * n)
+        cells[0:f:2] = [1] * j  # the earlier links committed through their f
+        cells[g] = 0
+        assert solver.verdict(tuple(cells)) is None
+        cert = solver.certificate
+        assert f in cert and g not in cert
+        cells[f] = 0
+        assert solver.verdict(tuple(cells)) == expected(cells) == 0
+        assert solver.broken == 1 and solver.certificate is cert
+        cells[f] = None
+        assert solver.verdict(tuple(cells)) is None
+        assert solver.broken == 0 and solver.certificate is cert
+
+
+def _graph_program(rng, nodes, edges):
+    """A random path through every node, then other ordered pairs, as the
+    graphs of the benchmark's horn-reach workload."""
+    inner = list(range(1, nodes - 1))
+    rng.shuffle(inner)
+    path = [0] + inner + [nodes - 1]
+    chosen = list(zip(path, path[1:]))
+    others = [(a, b) for a in range(nodes) for b in range(nodes) if a != b and (a, b) not in chosen]
+    chosen += rng.sample(others, edges - len(chosen))
+    rng.shuffle(chosen)
+    det = [("r0", [])] + [("r%d" % b, ["r%d" % a, "e%d%d" % (a, b)]) for a, b in chosen]
+    prob = [(round(rng.uniform(0.2, 0.8), 4), "e%d%d" % (a, b), []) for a, b in chosen]
+    return HornProgram(det, prob, "r%d" % (nodes - 1))
+
+
+@pytest.mark.parametrize(
+    "seed, counts",
+    [(0, (15, 7, 3, 5)), (1, (17, 8, 4, 5)), (2, (39, 19, 10, 10)),
+     (3, (157, 78, 48, 31)), (4, (79, 39, 19, 21))],
+)
+def test_graph_search_counts_are_pinned(seed, counts):
+    """Exact counts on seeded 6-node, 12-edge graphs: a change to what the
+    oracle or the order costs must not move the search."""
+    prog = _graph_program(random.Random(seed), 6, 12)
+    value, stats = success_probability(prog)
+    assert abs(value - success_probability_bruteforce(prog)) <= 1e-12
+    got = (stats.oracle_calls, stats.branch_nodes, stats.leaves_true, stats.leaves_false)
+    assert got == counts
+    assert stats.cache_hits == stats.pruned == 0
+
+
+def test_chain_search_counts_are_pinned():
+    """A seeded 300-fact chain: one branch node per fact, whose ``f_k = 0``
+    child is a false leaf, and one true leaf at the end."""
+    m = 300
+    rng = random.Random(300)
+    probs = [rng.uniform(0.99, 0.999) for _ in range(m)]
+    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
+    prog = HornProgram(det, [(p, "f%d" % k, []) for k, p in enumerate(probs)], "a%d" % m)
+    value, stats = success_probability(prog)
+    assert math.isclose(value, math.prod(probs), rel_tol=1e-12, abs_tol=0.0)
+    assert stats.oracle_calls == 2 * m + 1
+    assert stats.branch_nodes == m
+    assert (stats.leaves_true, stats.leaves_false) == (1, m)
+    assert stats.cache_hits == stats.pruned == 0
 
 
 def test_deep_chain_search_needs_no_call_stack():
