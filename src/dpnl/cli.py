@@ -154,7 +154,7 @@ def cmd_sum(args) -> int:
         print("P(sum = %d) = %s" % (args.sum, _fmt(result)))
         dist = {args.sum: result}
     if args.brute:
-        # the output whose value is farthest from the convolution reference
+        # the output whose value is farthest from the column reference
         ref = sum_distribution_reference(spec)
         o = max(dist, key=lambda o: abs(dist[o] - ref[o]))
         rc = max(rc, _cross_check("reference P(sum = %d)" % o, dist[o], ref[o], _tol(args)))
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sum", cmd_sum, "digit-sum task probabilities")
     sum_options(p)
     p.add_argument("--full", action="store_true", help="whole output distribution")
-    p.add_argument("--brute", action="store_true", help="cross-check against the convolution reference")
+    p.add_argument("--brute", action="store_true", help="cross-check against the column reference")
 
     p = command("approx", cmd_approx, "anytime bounds for one output probability", tol=None)
     sum_options(p)

@@ -23,12 +23,13 @@ from .core import (
     InvalidInstanceError,
     OracleVerdict,
     QueryStats,
+    SizeLimitError,
     Valuation,
     VERDICT_FALSE,
     VERDICT_TRUE,
     VERDICT_UNKNOWN,
 )
-from .inference import CustomOrder, VariableOrder, bruteforce_probability, dpnl
+from .inference import BRUTEFORCE_TUPLE_LIMIT, CustomOrder, VariableOrder, dpnl
 from .oracle import Oracle, SymbolicFunction
 
 
@@ -159,14 +160,13 @@ class _Solver:
     probabilistic rules that every derivation of the query uses
     (``_landmarks``). A valuation only removes rules, so a landmark of the
     program is a landmark of every sub-program the search visits.
-    ``_commit`` walks the changed cells anyway, and keeps three counts up to
+    ``_commit`` walks the changed cells anyway, and keeps two counts up to
     date there:
 
     - ``dead``, the number of landmark rules assigned 0, plus 1 when no rule
       set derives the query at all;
     - ``broken``, the number of rules of the current certificate (see
-      ``verdict``) assigned 0, against per-rule ``in_certificate`` flags;
-    - ``num_free``, the number of unassigned cells.
+      ``verdict``) assigned 0, against per-rule ``in_certificate`` flags.
 
     The state is mutable and shared by everything built on one program: its
     oracle, its variable order and its ``SymbolicFunction``. Interleaved
@@ -191,7 +191,6 @@ class _Solver:
         self.level_starts: list[int] = []  # trail length when it was enabled
         self.level_of = [0] * prog.m  # level of each committed rule
         self.cells: tuple = (None,) * prog.m  # the committed valuation
-        self.num_free = prog.m
         # see verdict
         self.certificate: Optional[list[int]] = None
         self.in_certificate = bytearray(prog.m)  # 1 for each certificate rule
@@ -268,7 +267,6 @@ class _Solver:
                 self.dead += zeros
             if in_certificate[k]:
                 self.broken += zeros
-            self.num_free += (c is None) - (p is None)
             if c == 1:
                 new.append(k)
             elif enabled[k]:
@@ -322,8 +320,13 @@ class _Solver:
 
         A call costs the change of the committed rules since the previous
         call, plus one optimistic run and its undo when no landmark decides
-        and the certificate does not hold. The landmark, totality and
-        certificate tests each read a count that ``_commit`` keeps, in O(1).
+        and the certificate does not hold. The landmark and certificate
+        tests each read a count that ``_commit`` keeps, in O(1). A total
+        valuation needs no test of its own: once its committed rules do not
+        derive the query, a certificate that held would have every rule
+        assigned 1 and derive it, so the call reaches the optimistic run,
+        which enables nothing and answers 0.
+
         On a chain ``a_{k+1} :- a_k, f_k`` every fact is a landmark, so no
         ``f_k = 0`` child runs the propagation, and the root call's
         certificate answers every ``f_k = 1`` child. What each call still
@@ -335,7 +338,7 @@ class _Solver:
         query = self.query
         if derived[query]:
             return 1
-        if self.dead or not self.num_free:
+        if self.dead:
             return 0
         if self.certificate is not None and not self.broken:
             return None
@@ -511,12 +514,55 @@ def success_probability_bruteforce(prog: HornProgram) -> float:
     """Definitional success probability: sum over all rule subsets that
     entail the query of the product of presence/absence probabilities.
 
-    ``bruteforce_probability`` on the program's instance, independent of the
-    oracle-guided search. It enumerates 2^m subsets and refuses programs
-    beyond ``BRUTEFORCE_TUPLE_LIMIT`` tuples (m <= 23).
+    Independent of the oracle-guided search and of its solver. The 2^m
+    subsets are taken in blocks of at most 2^16, with one numpy boolean
+    array per atom holding, for each subset of the block, whether the atom
+    is derived. Forward chaining runs on those arrays with a worklist, as
+    ``_landmarks`` does: the bodiless rules are checked first, and any rule
+    again only when the array of one of its body atoms grows, so a chain
+    listed backwards takes one check per rule. A subset's weight multiplies
+    its entries, in variable order, of the rows ``(1 - p, p)`` normalised as
+    ``Instance`` normalises them. Programs beyond ``BRUTEFORCE_TUPLE_LIMIT``
+    subsets (m <= 23) are refused before anything is allocated.
     """
-    inst, sfn, _ = logic_instance(prog)
-    return bruteforce_probability(inst, sfn, 1)
+    n_subsets = 2**prog.m
+    if n_subsets > BRUTEFORCE_TUPLE_LIMIT:
+        raise SizeLimitError("brute force refuses %d tuples" % n_subsets)
+    import numpy as np
+
+    rows = Instance([(1.0 - p, p) for p in prog.probs], Domain(2)).probs
+    rules = prog.prob_rules + prog.det_rules
+    watchers: list[list[int]] = [[] for _ in range(prog.num_atoms)]
+    for r, (_, body) in enumerate(rules):
+        for a in body:
+            watchers[a].append(r)
+    size = min(n_subsets, 1 << 16)
+    everywhere = np.ones(size, dtype=bool)
+    total = 0.0
+    for start in range(0, n_subsets, size):
+        subsets = np.arange(start, start + size)
+        present = [(subsets >> k & 1).astype(bool) for k in range(prog.m)]
+        derived = [np.zeros(size, dtype=bool) for _ in range(prog.num_atoms)]
+        # the queue; a bodiless rule watches no atom, so it is never queued again
+        work = [r for r, (_, body) in enumerate(rules) if not body]
+        queued = bytearray(len(rules))
+        for r in work:
+            queued[r] = 0
+            head, body = rules[r]
+            fires = present[r] if r < prog.m else everywhere
+            for b in body:
+                fires = fires & derived[b]
+            if np.any(fires > derived[head]):
+                derived[head] |= fires
+                for c in watchers[head]:
+                    if not queued[c]:
+                        queued[c] = 1
+                        work.append(c)
+        weights = np.ones(size)
+        for k, (absent, there) in enumerate(rows):
+            weights *= np.where(present[k], there, absent)
+        total += float(weights[derived[prog.query]].sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

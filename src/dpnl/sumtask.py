@@ -259,37 +259,26 @@ def build_sum_instance(spec: SumInstanceSpec) -> tuple[Instance, SymbolicFunctio
 def sum_distribution_reference(spec: SumInstanceSpec) -> list[float]:
     """Exact output distribution by dynamic programming, no search involved.
 
-    Builds each summand's value distribution digit by digit, then convolves
-    the two; O(N * 10^N) work. Valid because the summands are independent
-    products of independent digits, which makes this the test oracle for the
-    recursive computation on sum instances. Each row is normalised by its
-    ``math.fsum`` total, as ``Instance`` does.
+    One recursion over digit columns, most significant first: column i's
+    total a_i + b_i, in 0..18, has the convolution of its two rows as its
+    distribution, and the sum s of the columns so far becomes 10*s + t for
+    each total t. O(10^N) work. Valid because the digits are independent,
+    which makes this the test oracle for the recursive computation on sum
+    instances. Each row is normalised by its ``math.fsum`` total, as
+    ``Instance`` does.
     """
     import numpy as np
 
-    n = spec.n
-
-    def summand(rows: Sequence[Sequence[float]]) -> list[float]:
-        values = [1.0]
-        for row in rows:
-            total = math.fsum(row)
-            row = [p / total for p in row]
-            nxt = [0.0] * (len(values) * 10)
-            for value, pv in enumerate(values):
-                if pv == 0.0:
-                    continue
-                base = value * 10
-                for d, pd in enumerate(row):
-                    nxt[base + d] = pv * pd
-            values = nxt
-        return values
-
-    first = summand(spec.dists[:n])
-    second = summand(spec.dists[n:])
-    # summand values range over [0, 10^n - 1], so their sum never reaches
-    # 2*10^n - 1; that last output keeps probability zero
-    conv = np.convolve(np.asarray(first), np.asarray(second))
-    return [float(p) for p in conv] + [0.0]
+    rows = [np.array(row) / math.fsum(row) for row in spec.dists]
+    dist = np.ones(1)
+    for a, b in zip(rows[: spec.n], rows[spec.n :]):
+        nxt = np.zeros(10 * len(dist) + 9)
+        for t, pt in enumerate(np.convolve(a, b)):
+            nxt[t : t + 10 * len(dist) : 10] += pt * dist
+        dist = nxt
+    # column totals sum to at most 2*10^n - 2, so that last output keeps
+    # probability zero
+    return dist.tolist() + [0.0]
 
 
 def parse_dist_rows(rows) -> list[list[float]]:

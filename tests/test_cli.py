@@ -159,7 +159,7 @@ def test_sum_dists_inline_and_validation(tmp_path, capsys):
     assert main(["sum", "--n", "1", "--dists", str(not_rows), "--sum", "3"]) == 2
     assert "expected a list of rows" in capsys.readouterr().err
     # a row within the 1e-6 sum tolerance is normalised alike by the
-    # instance and by the convolution reference
+    # instance and by the column reference
     near = [[0.1000005] + [0.1] * 9, [0.1] * 10]
     assert main(["sum", "--n", "1", "--dists", json.dumps(near), "--sum", "0", "--brute"]) == 0
     assert "|diff| = 0.000e+00" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from dpnl import (
     MaxProbability,
     ProgramError,
     SequentialOrder,
+    SizeLimitError,
     Valuation,
     ad_recover,
     ad_transform,
@@ -133,18 +135,74 @@ def test_success_probability_matches_enumeration():
         assert abs(seq - expected) <= 1e-10
 
 
+def _has_cycle(prog: HornProgram) -> bool:
+    """Whether some atom derives from itself through rule bodies."""
+    edges = {}
+    for head, body in prog.det_rules + prog.prob_rules:
+        for b in body:
+            edges.setdefault(b, set()).add(head)
+    for start in edges:
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in edges.get(stack.pop(), ()):
+                if nxt == start:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return False
+
+
 def test_success_probability_brute_checks_problog_semantics():
     rng = random.Random(20)
-    prog = random_horn_program(rng, m_max=5)
-    # independent re-derivation of the subset semantics
-    expected = 0.0
-    for mask in itertools.product([0, 1], repeat=prog.m):
-        w = 1.0
-        for k, p in enumerate(prog.probs):
-            w *= p if mask[k] else 1.0 - p
-        if naive_entails(horn_rules(prog, mask), prog.query):
-            expected += w
-    assert abs(success_probability_bruteforce(prog) - expected) <= 1e-12
+    cyclic = 0
+    for _ in range(120):
+        prog = random_horn_program(rng, m_max=8)
+        cyclic += _has_cycle(prog)
+        # independent re-derivation of the subset semantics
+        expected = 0.0
+        for mask in itertools.product([0, 1], repeat=prog.m):
+            w = 1.0
+            for k, p in enumerate(prog.probs):
+                w *= p if mask[k] else 1.0 - p
+            if naive_entails(horn_rules(prog, mask), prog.query):
+                expected += w
+        assert abs(success_probability_bruteforce(prog) - expected) <= 1e-12, prog
+        # the reference runs without the search's solver
+        assert prog._solver is None
+    assert cyclic >= 30
+
+
+def test_success_probability_brute_without_rules():
+    prog = HornProgram([], [], "q")
+    assert success_probability_bruteforce(prog) == 0.0
+    assert prog._solver is None
+
+
+def test_success_probability_brute_on_a_long_chain_listed_backwards():
+    # the links come last to first, so each one is checked only once its
+    # body atom is derived; a loop of passes over all rules needs one pass
+    # per link
+    n = 5000
+    deterministic = [("a%d" % (k + 1), ["a%d" % k]) for k in range(n - 2, -1, -1)]
+    prog = HornProgram(deterministic, [(0.25, "a0", [])], "a%d" % (n - 1))
+    assert prog.num_atoms == n
+    start = time.perf_counter()
+    assert success_probability_bruteforce(prog) == 0.25
+    assert time.perf_counter() - start < 1.0
+    assert prog._solver is None
+
+
+def test_success_probability_brute_refuses_before_allocating():
+    prog = HornProgram([], [(0.5, "f%d" % k, []) for k in range(24)], "f0")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            success_probability_bruteforce(prog)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # one block of subsets would take 2^16 bytes per atom
 
 
 @pytest.mark.parametrize("body, expected", [("a", 1.0), ("c", 0.0)])
@@ -429,7 +487,6 @@ def test_solver_random_walk_matches_naive_fixpoint():
                 assert check(), (prog, step, v)
             assert solver.dead == underivable + sum(v[k] == 0 for k in landmarks)
             assert solver.broken == sum(v[k] == 0 for k in solver.certificate or ())
-            assert solver.num_free == v.cells.count(None)
             dead_moves.add((solver.dead > dead) - (solver.dead < dead))
             dead = solver.dead
         assert kinds == {"assign", "backtrack", "jump", "zero", "landmark"}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from dpnl import (
     sum_oracle,
     total_completions,
 )
-from conftest import random_digit_rows
+from conftest import enumerate_distribution, random_digit_rows
 
 
 def test_addition_examples():
@@ -148,6 +149,29 @@ def test_reference_distribution_sampled_outputs_n3():
     for o in (0, 1, 999, 1000, 1500, 1998, 1999):
         value, _ = dpnl(inst, o, oracle, order=order)
         assert abs(value - reference[o]) <= 1e-10
+
+
+def test_reference_matches_tuple_enumeration_on_unnormalised_rows():
+    # the column recursion normalises each row by its fsum total, as the
+    # instance does, and agrees with the definitional enumeration
+    rng = random.Random(24)
+    for n in (1, 2):
+        for _ in range(3):
+            rows = [[rng.uniform(0.0, 5.0) for _ in range(10)] for _ in range(2 * n)]
+            spec = SumInstanceSpec(n, rows)
+            inst, sfn, _ = build_sum_instance(spec)
+            reference = sum_distribution_reference(spec)
+            assert len(reference) == 2 * 10**n
+            for o, p in enumerate_distribution(inst, sfn).items():
+                assert abs(reference[o] - p) <= 1e-15, (n, o)
+
+
+def test_reference_n4_sums_to_one():
+    rng = random.Random(25)
+    reference = sum_distribution_reference(SumInstanceSpec(4, random_digit_rows(rng, 4)))
+    assert len(reference) == 2 * 10**4
+    assert abs(math.fsum(reference) - 1.0) <= 1e-12
+    assert reference[-1] == 0.0
 
 
 def test_branch_nodes_stay_far_below_naive_enumeration():
