@@ -2,20 +2,20 @@
 
 Best-first exploration of the valuation tree keeps a frontier of unresolved
 partial valuations together with their prior mass, in one heap ordered by
-the heuristic's rank of that mass. Mass of a branch the oracle accepts moves
-into the lower bound; rejected mass comes off the upper bound; undecided
-valuations are expanded one variable at a time. At every step the exact
-value lies in [low, up], whatever the order, and the reported point
-estimate is the geometric mean sqrt(low * up).
+the heuristic's rank of the mass each entry had when it was queued. Mass of
+a branch the oracle accepts moves into the lower bound; rejected mass comes
+off the upper bound; undecided valuations are expanded one variable at a
+time. At every step the exact value lies in [low, up], whatever the order,
+and the reported point estimate is the geometric mean sqrt(low * up).
 
 The frontier holds one entry per residual key of the oracle. A child whose
-key is already queued is merged into that entry: the masses add up, and one
-oracle call later settles or expands the sum. Equal keys mean the same free
-variables and the same output on every completion (or no matching completion
-at all), hence the same conditional value, so a merge changes neither bound's
-soundness; it is component caching applied to a best-first frontier. Every
-queued mass is rounded toward zero and every bound update outward, so the
-bounds hold in floating point as well.
+key is already queued is merged into that entry, which keeps its rank: the
+masses add up, and one oracle call later settles or expands the sum. Equal
+keys mean the same free variables and the same output on every completion
+(or no matching completion at all), hence the same conditional value, so a
+merge changes neither bound's soundness; it is component caching applied to
+a best-first frontier. Every queued mass is rounded toward zero and every
+bound update outward, so the bounds hold in floating point as well.
 """
 
 from __future__ import annotations
@@ -124,10 +124,11 @@ class _StepLimit(StopPolicy):
 class ExploreHeuristic:
     """Frontier discipline: which unresolved valuation to expand next.
 
-    ``ranker()`` returns, once per query, a function from an entry's queued
-    mass to its rank; the frontier expands the lowest rank first, ties in
-    push order. The order only decides which mass settles first: the bounds
-    hold under any order.
+    ``ranker()`` returns, once per query, a function from the mass an
+    entry is queued with to its rank, which later merges leave as it is;
+    the frontier expands the lowest rank first, ties in push order. The
+    order only decides which mass settles first: the bounds hold under any
+    order.
     """
 
     def ranker(self) -> Callable[[float], float]:
@@ -144,24 +145,23 @@ class _Entry:
     """The queued mass of every pushed valuation with one residual key.
 
     ``v`` is the first of them, the one the oracle sees. ``mass`` is at
-    most the exact sum of their masses. ``rank`` is its latest heap item's.
+    most the exact sum of their masses.
     """
 
-    __slots__ = ("v", "key", "mass", "rank")
+    __slots__ = ("v", "key", "mass")
 
-    def __init__(self, v: Valuation, key: Hashable, mass: float, rank: float):
+    def __init__(self, v: Valuation, key: Hashable, mass: float):
         self.v = v
         self.key = key
         self.mass = mass
-        self.rank = rank
 
 
 class _Frontier:
     """Live entries, at most one per residual key, with their total mass,
-    and one heap of (rank, push count, entry) items.
+    and one heap item (rank, push count, entry) per live entry.
 
-    A merge that changes an entry's rank pushes it again; the superseded
-    item no longer matches the entry's rank and is dropped when it surfaces.
+    An entry is ranked once, by the mass it has when its key is queued; a
+    merge adds mass to it where it stands in the heap.
     """
 
     def __init__(self, rank: Callable[[float], float]):
@@ -180,33 +180,22 @@ class _Frontier:
         self.mass += mass
         entry = self.live.get(key)
         if entry is None:
-            entry = self.live[key] = _Entry(v, key, mass, self.rank(mass))
-            heapq.heappush(self.heap, (entry.rank, next(self.pushes), entry))
+            entry = self.live[key] = _Entry(v, key, mass)
+            heapq.heappush(self.heap, (self.rank(mass), next(self.pushes), entry))
             return False
-        merged = _down(entry.mass + mass)
-        if merged > entry.mass:
-            entry.mass = merged
-            rank = self.rank(merged)
-            if rank != entry.rank:
-                entry.rank = rank
-                heapq.heappush(self.heap, (rank, next(self.pushes), entry))
+        entry.mass = max(entry.mass, _down(entry.mass + mass))
         return True
 
     def pop(self) -> _Entry:
-        while True:
-            rank, _, entry = heapq.heappop(self.heap)
-            if rank == entry.rank:
-                break
+        entry = heapq.heappop(self.heap)[2]
         del self.live[entry.key]
-        entry.rank = None  # a leftover item with a repeated draw must not match
         # exactly 0.0 once nothing is queued, whatever the rounding
         self.mass = self.mass - entry.mass if self.live else 0.0
         return entry
 
 
 class MaxProbability(ExploreHeuristic):
-    """Expand the most probable frontier valuation first; a merge that
-    raises an entry's mass moves it forward."""
+    """Expand first the entry whose mass was largest when it was queued."""
 
     def ranker(self):
         return operator.neg
@@ -223,9 +212,8 @@ class Fifo(ExploreHeuristic):
 class RandomChoice(ExploreHeuristic):
     """Expand in a random order fixed by the seed.
 
-    Each entry draws a uniform rank when it is pushed, and draws again when
-    a merge changes its mass; the lowest rank is expanded first. One seed
-    gives one expansion order.
+    Each entry draws one uniform rank when it is queued; the lowest rank is
+    expanded first. One seed gives one expansion order.
     """
 
     def __init__(self, seed: int = 0):
@@ -263,19 +251,20 @@ def approx_dpnl(
 
     Runs the frontier loop until the stop policy fires (checked at the loop
     head only) or the frontier empties; the latter reproduces the exact
-    value; the entry whose mass ``heuristic.ranker()`` ranks lowest goes
-    first. A child whose residual key (``oracle.residual_key``, else its
-    cells) equals that of a queued entry is merged into it: its mass is
-    added to the entry's and no second valuation is queued, which counts as
-    a cache hit. Equal keys mean equal conditional values, so one oracle
-    call settles the merged mass: it all goes to ``low``, all comes off
-    ``up``, or is split among the children of the entry's valuation. A
-    child whose value the oracle's ``viable`` hook drops is never queued:
-    its mass comes off ``up`` at once. Every queued mass is rounded toward
-    zero and every bound update outward, so ``low <= exact <= up`` holds in
-    floating point; ``up`` starts a few ulps above 1 when the rows' exact
-    sums exceed 1. When ``trace`` is a list, a snapshot is appended after
-    every iteration, preceded by the initial ``(0, up)`` state.
+    value; the entry whose mass at queueing ``heuristic.ranker()`` ranks
+    lowest goes first. A child whose residual key (``oracle.residual_key``,
+    else its cells) equals that of a queued entry is merged into it: its
+    mass is added to the entry's, which keeps its rank, and no second
+    valuation is queued, which counts as a cache hit. Equal keys mean equal
+    conditional values, so one oracle call settles the merged mass: it all
+    goes to ``low``, all comes off ``up``, or is split among the children of
+    the entry's valuation. A child whose value the oracle's ``viable`` hook
+    drops is never queued: its mass comes off ``up`` at once. Every queued
+    mass is rounded toward zero and every bound update outward, so
+    ``low <= exact <= up`` holds in floating point; ``up`` starts a few ulps
+    above 1 when the rows' exact sums exceed 1. When ``trace`` is a list, a
+    snapshot is appended after every iteration, preceded by the initial
+    ``(0, up)`` state.
     """
     if order is None:
         order = SequentialOrder()

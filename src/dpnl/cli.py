@@ -254,10 +254,6 @@ def cmd_logic(args) -> int:
     print("P(query) = %s" % _fmt(value))
     rc = 0
     if args.brute:
-        if prog.m > 12:
-            raise InvalidInstanceError(
-                "--brute supports at most 12 probabilistic rules, program has %d" % prog.m
-            )
         rc = _cross_check(
             "brute", value, logic_mod.success_probability_bruteforce(prog), _tol(args)
         )

@@ -576,6 +576,15 @@ _QUERY_RE = re.compile(r"query\s*\((.*)\)")
 _SEP = re.compile(r",(?![^(]*\))")
 
 
+def _split_list(text: str) -> list[str]:
+    """``_SEP.split(text)``. Text without parentheses is split at every
+    comma by ``str.split``, in linear time: ``_SEP``'s lookahead scans to
+    the next ``(`` or the end, quadratic on a long list."""
+    if "(" in text or ")" in text:
+        return _SEP.split(text)
+    return text.split(",")
+
+
 def _parse_atom(text: str, lineno: int) -> str:
     text = text.strip()
     match = _ATOM_RE.fullmatch(text)
@@ -588,7 +597,7 @@ def _parse_atom(text: str, lineno: int) -> str:
         )
     if args_text is None:
         return name
-    args = [a.strip() for a in _SEP.split(args_text)]
+    args = [a.strip() for a in _split_list(args_text)]
     if not all(args):
         raise ProgramError("empty argument in %r" % text, lineno)
     for a in args:
@@ -641,7 +650,7 @@ def parse_program(text: str) -> HornProgram:
         if ":-" in stmt:
             head_text, _, body_text = stmt.partition(":-")
             head = _parse_atom(head_text, lineno)
-            body = [_parse_atom(b, lineno) for b in _SEP.split(body_text)]
+            body = [_parse_atom(b, lineno) for b in _split_list(body_text)]
             deterministic.append((head, body))
             continue
         deterministic.append((_parse_atom(stmt, lineno), []))

@@ -429,22 +429,23 @@ def merged(mass, add):
     return max(mass, math.nextafter(mass + add, 0.0))
 
 
-def test_max_probability_reprioritises_merged_entries():
+def test_max_probability_merged_entry_keeps_its_place():
     frontier = _Frontier(MaxProbability().ranker())
     v = fresh_valuation(2)
     for key, y, mass in (("a", 0, 0.3), ("b", 1, 0.2), ("c", 2, 0.25)):
         assert not frontier.add(key, v.assign(0, y), mass)
+    # the merge raises "b" above "a" and "c", but "b" keeps the rank it was
+    # queued with
     assert frontier.add("b", v.assign(1, 0), 0.2)
-    assert len(frontier) == 3
+    assert len(frontier) == len(frontier.heap) == 3
     popped = [frontier.pop() for _ in range(3)]
     assert [(e.key, e.v.cells, e.mass) for e in popped] == [
-        ("b", (1, None), merged(0.2, 0.2)),
         ("a", (0, None), 0.3),
         ("c", (2, None), 0.25),
+        ("b", (1, None), merged(0.2, 0.2)),
     ]
-    assert Fraction(popped[0].mass) <= Fraction(0.2) + Fraction(0.2)
-    # the superseded heap item of "b" is no live entry
-    assert len(frontier) == 0
+    assert Fraction(popped[2].mass) <= Fraction(0.2) + Fraction(0.2)
+    assert len(frontier) == 0 and not frontier.heap
     assert frontier.mass == 0.0
 
 
@@ -472,11 +473,11 @@ def test_random_choice_order_is_seeded_and_pops_each_entry_once():
         v = fresh_valuation(2)
         for i in range(40):
             assert not frontier.add(i, v.assign(0, i % 10), 0.01 * (i + 1))
-        # every merge changes the mass, so every one draws a new rank
+        # every merge changes the mass, and none draws a new rank
         for i in range(0, 40, 3):
             assert frontier.add(i, v.assign(1, i % 10), 0.5)
             assert frontier.add(i, v.assign(1, i % 10), 0.25)
-        assert len(frontier.heap) > len(frontier) == 40
+        assert len(frontier.heap) == len(frontier) == 40
         popped = []
         while len(frontier) > 0:
             popped.append(frontier.pop())
@@ -494,6 +495,45 @@ def test_random_choice_order_is_seeded_and_pops_each_entry_once():
             assert Fraction(mass) <= Fraction(first) + Fraction(0.5) + Fraction(0.25)
         else:
             assert mass == first
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS, ids=["maxprob", "fifo", "random"])
+def test_frontier_holds_one_heap_item_per_live_entry(heuristic):
+    rng = random.Random(68)
+    frontier = _Frontier(heuristic.ranker())
+    v = fresh_valuation(1)
+    expected = {}  # live key -> (mass by the merge rule, queued mass, push index)
+    popped = []
+    for step in range(3000):
+        roll = rng.random()
+        if expected and roll < 0.4:
+            key = rng.choice(sorted(expected))
+            mass = rng.choice((0.0, 5e-324, rng.random() * 10.0 ** -rng.randrange(20)))
+            before = list(frontier.heap)
+            assert frontier.add(key, v, mass)
+            assert frontier.heap == before
+            total, queued, index = expected[key]
+            expected[key] = (merged(total, mass), queued, index)
+        elif expected and roll < 0.7:
+            entry = frontier.pop()
+            total, queued, index = expected.pop(entry.key)
+            assert entry.mass == total
+            # the lowest rank of the queued mass goes first, ties in push order
+            if isinstance(heuristic, MaxProbability):
+                assert all((-queued, index) < (-q, i) for _, q, i in expected.values())
+            elif isinstance(heuristic, Fifo):
+                assert all(index < i for _, _, i in expected.values())
+            popped.append(entry.key)
+        else:
+            mass = rng.choice((0.0, rng.random() * 10.0 ** -rng.randrange(20)))
+            assert not frontier.add(step, v, mass)
+            expected[step] = (mass, mass, step)
+        assert len(frontier.heap) == len(frontier) == len(expected)
+    while len(frontier) > 0:
+        popped.append(frontier.pop().key)
+        assert len(frontier.heap) == len(frontier)
+    assert len(popped) == len(set(popped))
+    assert frontier.mass == 0.0
 
 
 def test_max_probability_pops_zero_mass_last():

@@ -383,13 +383,28 @@ def test_logic_nonground_program_error(tmp_path, capsys):
     assert "ground" in capsys.readouterr().err
 
 
-def test_logic_brute_guard(tmp_path, capsys):
-    lines = ["0.5 :: a%d." % i for i in range(13)]
-    lines.append("query(a0).")
-    path = tmp_path / "big.pl"
+def chain_program_file(tmp_path, m):
+    lines = ["a0."]
+    for k in range(m):
+        lines.append("0.9 :: f%d." % k)
+        lines.append("a%d :- a%d, f%d." % (k + 1, k, k))
+    lines.append("query(a%d)." % m)
+    path = tmp_path / ("chain%d.pl" % m)
     path.write_text("\n".join(lines) + "\n")
-    assert main(["logic", "--program", str(path), "--brute"]) == 2
-    assert "12" in capsys.readouterr().err
+    return str(path)
+
+
+def test_logic_brute_on_a_16_fact_chain(tmp_path, capsys):
+    assert main(["logic", "--program", chain_program_file(tmp_path, 16), "--brute"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("P(query) = ")[1].split()[0]) == pytest.approx(0.9**16)
+
+
+def test_logic_brute_guard(tmp_path, capsys):
+    # the reference's own size limit is the only guard: 2^24 subsets
+    assert main(["logic", "--program", chain_program_file(tmp_path, 24), "--brute"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: brute force refuses 16777216 tuples\n"
 
 
 def test_gradcheck_sum(capsys):

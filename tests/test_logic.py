@@ -37,6 +37,7 @@ from dpnl import (
     success_probability,
     success_probability_bruteforce,
 )
+from dpnl import logic as logic_mod
 from conftest import (
     count_simple_paths,
     horn_rules,
@@ -752,6 +753,27 @@ def test_parse_program_accepted_forms(text, atoms, det, prob):
     assert prog.atom_names == atoms
     assert (prog.det_rules, prog.prob_rules, prog.query) == (det, prob, 0)
     assert prog.probs == [0.5] * len(prob)
+
+
+@given(st.text(alphabet="ab ,()", max_size=30))
+def test_split_list_matches_the_separator_pattern(text):
+    assert logic_mod._split_list(text) == logic_mod._SEP.split(text)
+
+
+@pytest.mark.parametrize("shape", ["bare-body", "arguments"])
+def test_parse_program_long_comma_list_is_linear(shape):
+    names = ["a%d" % i for i in range(20000)]
+    if shape == "bare-body":
+        text = "h :- %s.\n%s\nquery(h).\n" % (", ".join(names), "\n".join(n + "." for n in names))
+        atom = "h"
+    else:
+        atom = "p(%s)" % ",".join(names)
+        text = "%s.\nquery(%s).\n" % (atom, atom)
+    start = time.perf_counter()
+    prog = parse_program(text)
+    elapsed = time.perf_counter() - start
+    assert prog.atom_names[prog.query] == atom
+    assert elapsed < 0.5, elapsed
 
 
 # ---------------------------------------------------------------------------
