@@ -21,7 +21,6 @@ from .approx import (
     TimeBudget,
     TraceSnapshot,
     approx_dpnl,
-    bound_trace,
 )
 from .cnf import (
     CnfFormula,

@@ -318,22 +318,3 @@ def approx_dpnl(
     stats.wall_time = time.perf_counter() - start
     return Bounds(low, up), stats
 
-
-def bound_trace(
-    inst: Instance,
-    o: int,
-    oracle: Oracle,
-    heuristic: ExploreHeuristic,
-    max_steps: int,
-    order: Optional[VariableOrder] = None,
-) -> list[TraceSnapshot]:
-    """Per-iteration bound snapshots for at most ``max_steps`` iterations.
-
-    The first snapshot is always ``approx_dpnl``'s initial ``(0, up)``; the
-    lower bounds are non-decreasing and the upper bounds non-increasing.
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    snapshots: list[TraceSnapshot] = []
-    approx_dpnl(inst, o, oracle, _StepLimit(max_steps), heuristic, order=order, trace=snapshots)
-    return snapshots

@@ -43,13 +43,11 @@ class CnfFormula:
                     raise ValueError("literal %d out of range for %d variables" % (lit, num_vars))
                 if -lit in seen:
                     tautological = True
-                    break
-                if lit not in seen:
+                elif lit not in seen:
                     seen.add(lit)
                     lits.append(lit)
-            if tautological:
-                continue
-            kept.append(tuple(lits))
+            if not tautological:
+                kept.append(tuple(lits))
         self.num_vars = num_vars
         self.clauses = tuple(kept)
 

@@ -149,7 +149,10 @@ class Instance:
             for w in ws:
                 if w < 0.0 or not math.isfinite(w):
                     raise InvalidInstanceError("invalid probability weight %r in row %d" % (w, k))
-            total = math.fsum(ws)
+            try:
+                total = math.fsum(ws)
+            except OverflowError:
+                raise InvalidInstanceError("row %d's total mass overflows" % k) from None
             if total <= 0.0:
                 raise InvalidInstanceError("row %d has zero total mass" % k)
             probs.append(tuple(w / total for w in ws))

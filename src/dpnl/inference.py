@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -51,18 +52,16 @@ class SequentialOrder(VariableOrder):
 
     def choose(self, v: Valuation) -> int:
         cells = v.cells
-        if self.permutation is None:
-            for k, c in enumerate(cells):
-                if c is None:
-                    return k
-        else:
-            if len(self.permutation) != len(cells):
-                raise InvalidInstanceError(
-                    "order permutes %d of %d variables" % (len(self.permutation), len(cells))
-                )
-            for k in self.permutation:
-                if cells[k] is None:
-                    return k
+        permutation = self.permutation
+        if permutation is None:
+            permutation = range(len(cells))
+        elif len(permutation) != len(cells):
+            raise InvalidInstanceError(
+                "order permutes %d of %d variables" % (len(permutation), len(cells))
+            )
+        for k in permutation:
+            if cells[k] is None:
+                return k
         raise InvalidInstanceError("no unassigned variable to choose")
 
     def __repr__(self) -> str:
@@ -79,8 +78,17 @@ class CustomOrder(VariableOrder):
         return self.fn(v)
 
 
+def _as_index(x, what: str) -> int:
+    """``x`` by ``operator.index``: a float or other non-integer raises
+    ``InvalidInstanceError``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidInstanceError("%s %r is not an int" % (what, x)) from None
+
+
 def _checked_choice(order: VariableOrder, v: Valuation) -> int:
-    k = order.choose(v)
+    k = _as_index(order.choose(v), "chosen index")
     if not 0 <= k < len(v.cells):
         raise InvalidInstanceError("order chose index %d outside 0..%d" % (k, len(v.cells) - 1))
     if v.cells[k] is not None:
@@ -121,7 +129,7 @@ def _search(
             "valuation length %d for instance of order %d" % (len(valuation), inst.m)
         )
     for k, c in enumerate(valuation.cells):
-        if c is not None and not 0 <= c < len(inst.probs[k]):
+        if c is not None and not 0 <= _as_index(c, "valuation value") < len(inst.probs[k]):
             raise InvalidInstanceError("valuation value %r out of range for variable %d" % (c, k))
     if order is None:
         order = SequentialOrder()

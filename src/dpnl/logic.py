@@ -149,9 +149,9 @@ class _Solver:
     SAT solver undoes its trail on backtrack (Eén and Sörensson, SAT 2003).
     Propagation is the linear-time counter scheme of Dowling and Gallier
     (1984), with the trail as its queue; it never recurses. Committing the
-    previous call's valuation again does no work beyond comparing the two
-    valuations in C; otherwise the cost is the work of the undone and the
-    new levels.
+    tuple committed last again does no work, as ``choose`` does after
+    ``verdict``; an equal but distinct tuple costs a compare of the two in
+    C; otherwise the cost is the work of the undone and the new levels.
 
     The oracle's answer (``verdict``) and the variable order (``choose``)
     are read from this state: the derived atoms and the missing counts.
@@ -246,7 +246,7 @@ class _Solver:
     def _commit(self, cells: tuple) -> None:
         """Bring the state to the rules assigned 1 in ``cells``."""
         prev = self.cells
-        if cells == prev:
+        if cells is prev or cells == prev:
             return
         if len(cells) != len(prev):
             raise InvalidInstanceError(

@@ -59,12 +59,15 @@ def _result_digits(r: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _scan_assigned(cells: tuple, digits: tuple[int, ...], n: int) -> tuple[int, int]:
+def _scan(v: Valuation, r: int, n: int) -> tuple[tuple, tuple[int, ...], int, int]:
     """Plain carry addition right to left while both digits are assigned.
 
-    Returns the first position with a free digit (-1 if none) and the carry
-    into it, or carry -1 once a result digit mismatches.
+    Returns the cells of ``v``, the n+1 result digits of ``r``, the first
+    position with a free digit (-1 if none) and the carry into it, or carry
+    -1 once a result digit mismatches.
     """
+    cells = v.cells
+    digits = _result_digits(r, n)
     carry = 0
     i = n - 1
     while i >= 0:
@@ -74,10 +77,10 @@ def _scan_assigned(cells: tuple, digits: tuple[int, ...], n: int) -> tuple[int, 
             break
         d = carry + a + b
         if d % 10 != digits[i + 1]:
-            return i, -1
+            return cells, digits, i, -1
         carry = d // 10
         i -= 1
-    return i, carry
+    return cells, digits, i, carry
 
 
 def addition_oracle(v: Valuation, r: int, n: int) -> OracleVerdict:
@@ -97,9 +100,7 @@ def addition_oracle(v: Valuation, r: int, n: int) -> OracleVerdict:
     """
     if not 0 <= r < 2 * 10**n:
         raise InvalidInstanceError("output %d out of range for %d digits" % (r, n))
-    digits = _result_digits(r, n)
-    cells = v.cells
-    i, carry = _scan_assigned(cells, digits, n)
+    cells, digits, i, carry = _scan(v, r, n)
     if carry < 0:
         return VERDICT_FALSE
     if i < 0:
@@ -151,9 +152,7 @@ def _residual_key(v: Valuation, r: int, n: int) -> Hashable:
     positions 0..i of both summands, which the key holds (free digits as
     None).
     """
-    digits = _result_digits(r, n)
-    cells = v.cells
-    i, carry = _scan_assigned(cells, digits, n)
+    cells, digits, i, carry = _scan(v, r, n)
     if carry < 0:
         return _KEY_FALSE
     if i < 0:
@@ -170,9 +169,7 @@ def _viable_digits(v: Valuation, k: int, r: int, n: int) -> Optional[tuple[int]]
     digit b is assigned, only ``(digits[i + 1] - b - c) % 10`` gives
     position i its result digit.
     """
-    digits = _result_digits(r, n)
-    cells = v.cells
-    i, carry = _scan_assigned(cells, digits, n)
+    cells, digits, i, carry = _scan(v, r, n)
     if carry < 0 or i < 0:
         return None
     if k == i:

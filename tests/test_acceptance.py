@@ -23,7 +23,6 @@ from dpnl import (
     ad_recover,
     ad_transform,
     approx_dpnl,
-    bound_trace,
     bruteforce_probability,
     build_sum_instance,
     check_completeness,
@@ -224,7 +223,9 @@ def test_c05_approx_guarantees():
             heuristic = heuristics[(trial + o) % 3]
 
             # (a) every snapshot brackets the exact value, (e) mass conservation
-            for snap in bound_trace(inst, o, oracle, heuristic, max_steps=10**6, order=order):
+            snaps = []
+            approx_dpnl(inst, o, oracle, Exhaustive(), heuristic, order=order, trace=snaps)
+            for snap in snaps:
                 assert snap.bounds.low - 1e-12 <= exact <= snap.bounds.up + 1e-12
                 balance = snap.bounds.low + (1.0 - snap.bounds.up) + snap.frontier_mass
                 assert abs(balance - 1.0) <= 1e-9

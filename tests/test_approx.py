@@ -23,7 +23,6 @@ from dpnl import (
     VERDICT_TRUE,
     VERDICT_UNKNOWN,
     approx_dpnl,
-    bound_trace,
     build_sum_instance,
     dpnl,
     exhaustive_oracle,
@@ -127,7 +126,8 @@ def exact_root_mass(inst):
 def test_trace_first_snapshot_and_monotonicity():
     rng = random.Random(6)
     inst, oracle, order = sum_setup(rng)
-    snaps = bound_trace(inst, 9, oracle, MaxProbability(), max_steps=10**6, order=order)
+    snaps = []
+    approx_dpnl(inst, 9, oracle, Exhaustive(), MaxProbability(), order=order, trace=snaps)
     # up starts at or above the root's exact mass, which exceeds 1 when a
     # normalised row's float entries sum above 1
     assert snaps[0].bounds.low == 0.0
@@ -146,7 +146,8 @@ def test_trace_sandwich_and_conservation():
     for o in (0, 4, 9, 19):
         exact, _ = dpnl(inst, o, oracle, order=order)
         for heuristic in HEURISTICS:
-            snaps = bound_trace(inst, o, oracle, heuristic, max_steps=10**6, order=order)
+            snaps = []
+            approx_dpnl(inst, o, oracle, Exhaustive(), heuristic, order=order, trace=snaps)
             for snap in snaps:
                 assert snap.bounds.low - 1e-12 <= exact <= snap.bounds.up + 1e-12
                 balance = snap.bounds.low + (1.0 - snap.bounds.up) + snap.frontier_mass
@@ -160,7 +161,8 @@ def test_trace_sandwich_and_conservation():
 def test_trace_max_steps_limits_iterations():
     rng = random.Random(8)
     inst, oracle, order = sum_setup(rng)
-    snaps = bound_trace(inst, 9, oracle, Fifo(), max_steps=5, order=order)
+    snaps = []
+    approx_dpnl(inst, 9, oracle, _StepLimit(5), Fifo(), order=order, trace=snaps)
     assert len(snaps) == 6  # initial snapshot plus five iterations
     assert snaps[-1].iteration == 5
 
@@ -207,8 +209,6 @@ def test_stop_policy_validation():
     for policy in (EpsMultiplicative, EpsAdditive, TimeBudget):
         with pytest.raises(ValueError):
             policy(float("nan"))
-    with pytest.raises(ValueError):
-        bound_trace(None, 0, None, Fifo(), max_steps=0)
 
 
 def test_eps_delta_checker_on_guaranteed_runs():
@@ -275,11 +275,9 @@ def test_step_limit_counts_iterations_not_merges():
     # with it those children are dropped before they are built
     oracle = Oracle(hooked.fn, residual_key=hooked.residual_key)
     for heuristic in HEURISTICS:
-        snaps = bound_trace(inst, 63, oracle, heuristic, max_steps=5, order=order)
-        assert [snap.iteration for snap in snaps] == list(range(6))
         trace = []
         _, stats = approx_dpnl(inst, 63, oracle, _StepLimit(5), heuristic, order=order, trace=trace)
-        assert trace == snaps
+        assert [snap.iteration for snap in trace] == list(range(6))
         assert stats.oracle_calls == 5
         assert stats.cache_hits > 0
         _, hooked_stats = approx_dpnl(inst, 63, hooked, _StepLimit(5), heuristic, order=order)
@@ -348,7 +346,8 @@ def test_bounds_certified_in_floating_point():
             for oracle in (plain, Oracle(plain.fn, residual_key=table_residual_key(sfn))):
                 for o in range(4):
                     for heuristic in HEURISTICS:
-                        snaps = bound_trace(inst, o, oracle, heuristic, max_steps=10**6)
+                        snaps = []
+                        approx_dpnl(inst, o, oracle, Exhaustive(), heuristic, trace=snaps)
                         for snap in snaps:
                             assert Fraction(snap.bounds.low) <= exact[o] <= Fraction(snap.bounds.up)
                         assert snaps[-1].bounds.gap <= 1e-12

@@ -72,6 +72,23 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(DimacsError) as err:
         parse_weights("c weights\nwhat 1 0.25\n", 2)
     assert err.value.line == 2
+    cases = (
+        ("p cnf 1 0\np cnf 1 0\n", 2),  # duplicate header
+        ("p cnf 1\n", 1),  # wrong field count
+        ("p dnf 1 0\n", 1),  # not cnf
+        ("p cnf -1 0\n", 1),  # negative variable count
+        ("p cnf 1 -1\n", 1),  # negative clause count
+        ("c no header\nc at all\n", 2),
+        ("p cnf 1 0\nw 1\n", 2),  # two-field weight line
+        ("w 1 0.5\np cnf 1 0\n", 1),  # weight before header
+        ("p cnf 1 0\nw 1 heavy\n", 2),  # non-numeric weight
+        ("p cnf 1 0\nw 0 0.5\n", 2),  # variable 0
+        ("c\np cnf 1 0\nw 2 0.5\n", 3),  # past the header's count
+    )
+    for text, line in cases:
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert err.value.line == line, text
 
 
 def test_construction_cleans_clauses():
@@ -81,6 +98,10 @@ def test_construction_cleans_clauses():
     # duplicate clauses are both kept
     assert CnfFormula(2, [[1, 2], [1, 2]]).clauses == ((1, 2), (1, 2))
     assert () in CnfFormula(1, [[]]).clauses
+    # a literal after the tautological pair is still range-checked
+    for clause in ([1, -1, 99], [1, 2, 1, 99]):
+        with pytest.raises(ValueError, match="99 out of range"):
+            CnfFormula(2, [clause])
 
 
 def test_condition_examples():
@@ -203,6 +224,17 @@ def test_probdpll_splits_as_the_reference():
 def test_bruteforce_guard():
     with pytest.raises(SizeLimitError):
         pwmc_bruteforce(CnfFormula(25, []), WeightMap([0.5] * 25))
+
+
+def test_bad_sizes_and_weights_rejected():
+    with pytest.raises(ValueError, match="negative variable count"):
+        CnfFormula(-1, [])
+    with pytest.raises(ValueError, match="outside"):
+        WeightMap([1.5])
+    g = CnfFormula(2, [[1, 2]])
+    for count in (probdpll, pwmc_bruteforce):
+        with pytest.raises(ValueError, match="covers 1 of 2 variables"):
+            count(g, WeightMap([0.5]))
 
 
 def test_bruteforce_tautology_single_var():

@@ -108,6 +108,9 @@ def test_instance_validation():
     inst = Instance([[1.0, 3.0]], Domain(2))
     assert inst.m == 1
     assert inst.probs[0][1] == 0.75
+    # each weight is finite, but their sum is not
+    with pytest.raises(InvalidInstanceError, match="overflows"):
+        Instance([[1e308, 1e308]], Domain(2))
 
 
 def test_verdict_answer_must_be_ternary():

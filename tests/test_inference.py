@@ -14,7 +14,9 @@ from dpnl import (
     SizeLimitError,
     SumInstanceSpec,
     SymbolicFunction,
+    VERDICT_UNKNOWN,
     Valuation,
+    applicable_rule_order,
     approx_dpnl,
     bruteforce_probability,
     build_sum_instance,
@@ -23,8 +25,10 @@ from dpnl import (
     exhaustive_oracle,
     finite_difference_partials,
     fresh_valuation,
+    logic_instance,
     naive_oracle,
     output_distribution,
+    parse_program,
     right_to_left_order,
     sum_distribution_reference,
 )
@@ -57,9 +61,11 @@ def test_dpnl_conditional_on_partial(uniform1):
 
 def test_start_valuation_outside_domain_rejected(uniform1):
     inst, _, oracle = uniform1
-    for cells, o in (([10, None], 12), ([-1, None], 3)):
+    # 3.0 is in range, but not an int: unchecked, it reaches the viable
+    # hook, which answers (5.0,)
+    for cells, o in (([10, None], 12), ([-1, None], 3), ([3.0, None], 8)):
         for engine in (dpnl, dpnl_gradient):
-            with pytest.raises(InvalidInstanceError):
+            with pytest.raises(InvalidInstanceError, match="valuation value"):
                 engine(inst, o, oracle, valuation=Valuation(cells))
 
 
@@ -147,13 +153,33 @@ def test_order_callback_returning_assigned_index_raises(uniform1):
     with pytest.raises(InvalidInstanceError):
         dpnl(inst, 4, oracle, valuation=Valuation([3, None]), order=bad)
     # indices outside 0..m-1 are rejected by both engines, not read as
-    # Python indices (-1) or left to raise IndexError (m)
-    for k in (inst.m, -1):
+    # Python indices (-1) or left to raise IndexError (m), and so is a
+    # float, which no tuple takes as an index
+    for k, match in ((inst.m, "outside"), (-1, "outside"), (1.0, "not an int")):
         bad = CustomOrder(lambda v, k=k: k)
-        with pytest.raises(InvalidInstanceError, match="outside"):
+        with pytest.raises(InvalidInstanceError, match=match):
             dpnl(inst, 4, oracle, order=bad)
-        with pytest.raises(InvalidInstanceError, match="outside"):
+        with pytest.raises(InvalidInstanceError, match=match):
             approx_dpnl(inst, 4, oracle, Exhaustive(), MaxProbability(), order=bad)
+
+
+def test_undecided_total_valuation_leaves_nothing_to_choose(uniform1):
+    # an oracle must decide every total valuation; one that never decides
+    # leaves the order a total valuation to branch on
+    undecided = Oracle(lambda v, o: VERDICT_UNKNOWN)
+    inst, _, _ = uniform1
+    prog = parse_program("0.5 :: a.\n0.5 :: b.\nc :- a, b.\nquery(c).\n")
+    horn_inst, _, _ = logic_instance(prog)
+    cases = (
+        (inst, SequentialOrder()),
+        (inst, right_to_left_order(1)),
+        (horn_inst, applicable_rule_order(prog)),
+    )
+    for case_inst, order in cases:
+        with pytest.raises(InvalidInstanceError, match="no unassigned variable to choose"):
+            dpnl(case_inst, 1, undecided, order=order)
+        with pytest.raises(InvalidInstanceError, match="no unassigned variable to choose"):
+            approx_dpnl(case_inst, 1, undecided, Exhaustive(), MaxProbability(), order=order)
 
 
 def test_sequential_order_rejects_bad_permutations(uniform1):

@@ -85,6 +85,8 @@ def test_logic_oracle_extremes():
         assert oracle(all_off, 1).answer == (1 if s_off else 0)
         # inverted output
         assert oracle(all_on, 0).answer == (0 if s_on else 1)
+        with pytest.raises(InvalidInstanceError, match="must be 0 or 1"):
+            oracle(all_on, 2)
 
 
 def test_logic_oracle_direct_edge_is_proof():
@@ -252,6 +254,8 @@ def test_provenance_clause_count_small_values():
     assert provenance_clause_count(3) == 2
     assert provenance_clause_count(4) == 5
     assert provenance_clause_count(6) == 65  # 1 + 4 + 12 + 24 + 24
+    with pytest.raises(InvalidInstanceError):
+        provenance_clause_count(1)
 
 
 def test_provenance_clause_count_matches_path_enumeration():
@@ -807,6 +811,8 @@ def test_ad_transform_degenerate_prefix():
         ad_transform([0.9, 0.3])  # over unit mass
     with pytest.raises(InvalidInstanceError):
         ad_transform([float("nan"), 0.5])
+    with pytest.raises(InvalidInstanceError):
+        ad_recover([1.5])  # a switch probability above 1
 
 
 @given(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8))

@@ -89,6 +89,8 @@ def test_addition_oracle_output_range():
 def test_right_to_left_order_permutation():
     assert right_to_left_order(2).permutation == (1, 3, 0, 2)  # 1-based (2, 4, 1, 3)
     assert right_to_left_order(1).permutation == (0, 1)
+    with pytest.raises(InvalidInstanceError):
+        right_to_left_order(0)
 
 
 def test_addition_oracle_validity_sampled():
