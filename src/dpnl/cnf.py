@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Iterable, Optional, Sequence
 
@@ -16,6 +17,15 @@ class DimacsError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__("line %d: %s" % (line, message))
         self.line = line
+
+
+def _literal(lit) -> int:
+    """``lit`` by ``operator.index``: a float or other non-integer raises
+    ``ValueError`` instead of being truncated."""
+    try:
+        return operator.index(lit)
+    except TypeError:
+        raise ValueError("literal %r is not an int" % (lit,)) from None
 
 
 class CnfFormula:
@@ -38,7 +48,7 @@ class CnfFormula:
             seen = set()
             tautological = False
             for lit in clause:
-                lit = int(lit)
+                lit = _literal(lit)
                 if lit == 0 or abs(lit) > num_vars:
                     raise ValueError("literal %d out of range for %d variables" % (lit, num_vars))
                 if -lit in seen:
@@ -382,7 +392,7 @@ def prob_of_dnf(
     The DNF's negation is one CNF clause of negated literals per conjunctive
     clause (De Morgan); the result is 1 minus its weighted count.
     """
-    dnf = [tuple(int(l) for l in clause) for clause in dnf_clauses]
+    dnf = [tuple(map(_literal, clause)) for clause in dnf_clauses]
     if num_vars is None:
         num_vars = max((abs(l) for clause in dnf for l in clause), default=0)
     negated = [[-l for l in clause] for clause in dnf]

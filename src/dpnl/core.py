@@ -32,12 +32,20 @@ class Valuation:
 
     Valuations are immutable value types: assignment returns a fresh copy and
     equality/hashing are structural, so they can be used as dict keys.
+
+    A valuation made by ``assign`` also links to its parent: ``base`` is the
+    parent's ``cells`` tuple and ``changed`` the cell it set, so the two
+    differ at most there. A valuation built from cells has ``base`` and
+    ``changed`` None. The link is a hint for oracles that keep state between
+    calls (see ``Oracle``); it is not part of equality or hashing.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "base", "changed")
 
     def __init__(self, cells: Sequence[Optional[int]]):
         self.cells = tuple(cells)
+        self.base: Optional[tuple] = None
+        self.changed: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -66,7 +74,13 @@ class Valuation:
         """Copy of this valuation with cell ``k`` set to ``value``."""
         cells = list(self.cells)
         cells[k] = value
-        return Valuation(cells)
+        # built without __init__, whose Python frame would cost more than
+        # the two link slots do
+        child = object.__new__(Valuation)
+        child.cells = tuple(cells)
+        child.base = self.cells
+        child.changed = k
+        return child
 
     def free_indices(self) -> list[int]:
         return [k for k, c in enumerate(self.cells) if c is None]

@@ -151,7 +151,12 @@ class _Solver:
     (1984), with the trail as its queue; it never recurses. Committing the
     tuple committed last again does no work, as ``choose`` does after
     ``verdict``; an equal but distinct tuple costs a compare of the two in
-    C; otherwise the cost is the work of the undone and the new levels.
+    C. Otherwise the changed cells are found first: given a ``Valuation``'s
+    parent link whose ``base`` is the committed tuple itself, the one cell
+    ``changed``, in O(1), as in the backtrackable theory interface of
+    DPLL(T) (Nieuwenhuis, Oliveras and Tinelli, JACM 2006); without one, by
+    comparing all m cells in C. Then the cost is the work of the undone and
+    the new levels.
 
     The oracle's answer (``verdict``) and the variable order (``choose``)
     are read from this state: the derived atoms and the missing counts.
@@ -160,8 +165,9 @@ class _Solver:
     probabilistic rules that every derivation of the query uses
     (``_landmarks``). A valuation only removes rules, so a landmark of the
     program is a landmark of every sub-program the search visits.
-    ``_commit`` walks the changed cells anyway, and keeps two counts up to
-    date there:
+    They also give the oracle's ``viable`` hook: under output 1 a landmark
+    rule's value 0 has no matching completion. ``_commit`` walks the
+    changed cells anyway, and keeps two counts up to date there:
 
     - ``dead``, the number of landmark rules assigned 0, plus 1 when no rule
       set derives the query at all;
@@ -243,15 +249,24 @@ class _Solver:
                 missing[r] += 1
         del trail[t:]
 
-    def _commit(self, cells: tuple) -> None:
-        """Bring the state to the rules assigned 1 in ``cells``."""
+    def _commit(
+        self, cells: tuple, base: Optional[tuple] = None, changed: Optional[int] = None
+    ) -> None:
+        """Bring the state to the rules assigned 1 in ``cells``. When
+        ``base`` is the committed tuple itself and ``cells`` differs from it
+        at most in cell ``changed`` (a ``Valuation``'s parent link), that
+        cell is the whole change; otherwise every cell is compared."""
         prev = self.cells
         if cells is prev or cells == prev:
             return
-        if len(cells) != len(prev):
+        if base is prev:
+            diff = (changed,)
+        elif len(cells) != len(prev):
             raise InvalidInstanceError(
                 "valuation length %d does not match %d rules" % (len(cells), len(prev))
             )
+        else:
+            diff = compress(count(), map(ne, cells, prev))
         enabled = self.enabled
         landmark = self.landmark
         in_certificate = self.in_certificate
@@ -259,7 +274,7 @@ class _Solver:
         level_of = self.level_of
         new = []
         lowest = len(level_rules)
-        for k in compress(count(), map(ne, cells, prev)):
+        for k in diff:
             c = cells[k]
             p = prev[k]
             zeros = (c == 0) - (p == 0)
@@ -298,7 +313,9 @@ class _Solver:
     def entails_committed(self, cells: Sequence) -> bool:
         return bool(self.committed_fixpoint(cells)[self.query])
 
-    def verdict(self, cells: tuple) -> Optional[int]:
+    def verdict(
+        self, cells: tuple, base: Optional[tuple] = None, changed: Optional[int] = None
+    ) -> Optional[int]:
         """1 once the committed rules (assigned 1) derive the query, 0 once
         the optimistic ones (not assigned 0) cannot, None otherwise; both
         decisions are sound by monotonicity.
@@ -318,22 +335,26 @@ class _Solver:
         optimistic rules without one that every derivation uses, so this
         answers 0 only where the optimistic run would, without running it.
 
-        A call costs the change of the committed rules since the previous
-        call, plus one optimistic run and its undo when no landmark decides
-        and the certificate does not hold. The landmark and certificate
-        tests each read a count that ``_commit`` keeps, in O(1). A total
-        valuation needs no test of its own: once its committed rules do not
-        derive the query, a certificate that held would have every rule
-        assigned 1 and derive it, so the call reaches the optimistic run,
-        which enables nothing and answers 0.
+        ``base`` and ``changed`` are the parent link of the valuation whose
+        cells these are (see ``_commit``); without them every cell is
+        compared. A call costs the change of the committed rules since the
+        previous call, plus one optimistic run and its undo when no landmark
+        decides and the certificate does not hold. The landmark and
+        certificate tests each read a count that ``_commit`` keeps, in
+        O(1). A total valuation needs no test of its own: once its committed
+        rules do not derive the query, a certificate that held would have
+        every rule assigned 1 and derive it, so the call reaches the
+        optimistic run, which enables nothing and answers 0.
 
-        On a chain ``a_{k+1} :- a_k, f_k`` every fact is a landmark, so no
-        ``f_k = 0`` child runs the propagation, and the root call's
-        certificate answers every ``f_k = 1`` child. What each call still
-        costs in O(m), at C speed, is the compare of the valuation with the
-        committed one in ``_commit`` and the engine's ``Valuation`` copies.
+        On a chain ``a_{k+1} :- a_k, f_k`` every fact is a landmark, so the
+        oracle's ``viable`` hook prunes every ``f_k = 0`` child, and the
+        root call's certificate answers every ``f_k = 1`` child. Each such
+        child is its parent plus one cell, committed through its link, so a
+        call does O(1) Python work; what stays O(m), at C speed, is the
+        compare of the valuation with the committed one before the link is
+        read, and the engine's ``Valuation`` copies.
         """
-        self._commit(cells)
+        self._commit(cells, base, changed)
         derived = self.derived
         query = self.query
         if derived[query]:
@@ -454,18 +475,28 @@ def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> 
 
 def logic_oracle(prog: HornProgram) -> Oracle:
     """Valid and complete oracle for the program's query function: the
-    solver's ``verdict`` for an output of 1, inverted for an output of 0."""
+    solver's ``verdict`` for an output of 1, inverted for an output of 0,
+    given the valuation's parent link. Its ``viable`` hook keeps only value
+    1 of a landmark rule under output 1, in O(1): with a landmark absent,
+    no rule set derives the query (forward checking, Haralick and Elliott,
+    AI 1980)."""
     solver = prog.solver()
 
     def query(v: Valuation, o: int) -> OracleVerdict:
         if o not in (0, 1):
             raise InvalidInstanceError("query output must be 0 or 1, got %r" % (o,))
-        res = solver.verdict(v.cells)
+        res = solver.verdict(v.cells, v.base, v.changed)
         if res is None:
             return VERDICT_UNKNOWN
         return VERDICT_TRUE if res == o else VERDICT_FALSE
 
-    return Oracle(query, name="horn")
+    landmark = solver.landmark
+    present = (1,)
+
+    def viable(v: Valuation, k: int, o: int) -> Optional[tuple[int]]:
+        return present if o == 1 and landmark[k] else None
+
+    return Oracle(query, name="horn", viable=viable)
 
 
 def applicable_rule_order(prog: HornProgram) -> VariableOrder:

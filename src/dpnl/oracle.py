@@ -67,6 +67,11 @@ class Oracle:
     or to None for all of them. A value it leaves out must have no matching
     completion through it: a branch then builds no child for it (forward
     checking), which changes no value.
+
+    ``fn`` may read a valuation's parent link, ``v.base`` and ``v.changed``
+    (see ``Valuation``), as a hint: an oracle that keeps state between calls
+    can then update it from the one changed cell. It must answer the same
+    without the link, which a valuation built from cells does not have.
     """
 
     __slots__ = ("fn", "name", "residual_key", "viable")

@@ -262,11 +262,18 @@ def sum_distribution_reference(spec: SumInstanceSpec) -> list[float]:
     each total t. O(10^N) work. Valid because the digits are independent,
     which makes this the test oracle for the recursive computation on sum
     instances. Each row is normalised by its ``math.fsum`` total, as
-    ``Instance`` does.
+    ``Instance`` does, and a row whose total overflows raises
+    ``InvalidInstanceError`` there too.
     """
     import numpy as np
 
-    rows = [np.array(row) / math.fsum(row) for row in spec.dists]
+    rows = []
+    for i, row in enumerate(spec.dists):
+        try:
+            total = math.fsum(row)
+        except OverflowError:
+            raise InvalidInstanceError("row %d's total mass overflows" % i) from None
+        rows.append(np.array(row) / total)
     dist = np.ones(1)
     for a, b in zip(rows[: spec.n], rows[spec.n :]):
         nxt = np.zeros(10 * len(dist) + 9)

@@ -102,6 +102,11 @@ def test_construction_cleans_clauses():
     for clause in ([1, -1, 99], [1, 2, 1, 99]):
         with pytest.raises(ValueError, match="99 out of range"):
             CnfFormula(2, [clause])
+    # a non-integer literal is refused, not truncated
+    with pytest.raises(ValueError, match="1.5 is not an int"):
+        CnfFormula(2, [[1.5, -2.7]])
+    with pytest.raises(ValueError, match="-2.7 is not an int"):
+        prob_of_dnf([[1, -2.7]], WeightMap([0.5, 0.5]))
 
 
 def test_condition_examples():

@@ -37,6 +37,12 @@ def test_assign_is_copy_on_write():
     assert v.cells == (None, None)
     assert w.cells == (1, 0)
     assert w.is_total
+    # the parent link: the parent's own cells tuple and the cell set
+    u = v.assign(0, 1)
+    assert u.base is v.cells and u.changed == 0
+    assert (v.base, v.changed) == (None, None)
+    # the link is not part of equality or hashing
+    assert u == Valuation([1, None]) and hash(u) == hash(Valuation([1, None]))
 
 
 def test_valuation_value_semantics():

@@ -358,6 +358,14 @@ def _program(det, facts, query):
     return HornProgram(det, [(0.5, f, []) for f in facts], query)
 
 
+def _chain(probs):
+    """``a_{k+1} :- a_k, f_k`` for each fact ``f_k`` with its probability;
+    the query ``a_m`` succeeds iff every fact is present."""
+    m = len(probs)
+    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
+    return HornProgram(det, [(p, "f%d" % k, []) for k, p in enumerate(probs)], "a%d" % m)
+
+
 def test_landmarks_hand_built():
     chain = _program(
         [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(4)],
@@ -500,6 +508,89 @@ def test_solver_random_walk_matches_naive_fixpoint():
     assert dead_moves == {-1, 0, 1}
 
 
+def test_one_cell_commit_matches_the_full_diff():
+    """Two solvers of one program follow the same random history: one is
+    given each valuation's parent link, the other only its cells, so it
+    compares every cell. The history assigns any cell any value (1 -> 0,
+    to None, or the value it has), backtracks, steps to a sibling of the
+    last valuation and jumps to fresh ones, so a link's ``base`` is the
+    committed tuple on some steps and not on others. The derived atoms,
+    both counts and the verdict must agree at every step."""
+    rng = random.Random(26)
+    linked_steps = set()
+    for prog in _horn_programs(random.Random(27), 30, 8, (3, 4)):
+        m = prog.m
+        linked = prog.solver()
+        plain = logic_mod._Solver(prog)
+        history = [fresh_valuation(m)]
+        for step in range(200):
+            v = history[-1]
+            move = rng.random()
+            if move < 0.6:
+                k = rng.randrange(m)
+                history.append(v.assign(k, rng.choice([0, 1, None, v[k]])))
+            elif move < 0.75 and len(history) > 1:
+                del history[rng.randrange(1, len(history)):]
+            elif move < 0.9 and v.base is not None:
+                history[-1] = history[-2].assign(v.changed, rng.choice([0, 1, None]))
+            else:
+                history = [Valuation([rng.choice([0, 1, None]) for _ in range(m)])]
+            v = history[-1]
+            linked_steps.add(v.base is linked.cells)
+            got = linked.verdict(v.cells, v.base, v.changed)
+            assert got == plain.verdict(v.cells), (prog, step, v)
+            assert linked.derived == plain.derived, (prog, step, v)
+            assert (linked.dead, linked.broken) == (plain.dead, plain.broken), (prog, step, v)
+    assert linked_steps == {True, False}
+
+
+def test_landmark_viable_hook_is_sound():
+    """Under output 1 the Horn oracle's ``viable`` hook keeps only value 1
+    of a landmark rule. Each child it drops must have no matching
+    completion, on chains, where every fact is a landmark, on seeded
+    graphs, some with landmark edges, and on random programs. A program
+    drops values exactly when it has landmarks."""
+    progs = [_chain([0.5] * m) for m in (1, 4, 6)]
+    progs += [reachability_program(2, [[0.5] * 2] * 2)]
+    progs += [_graph_program(random.Random(seed), 6, 12) for seed in range(3)]
+    progs += _horn_programs(random.Random(28), 20, 6, (3,))
+    with_landmarks = 0
+    for prog in progs:
+        _, sfn, oracle = logic_instance(prog)
+        if prog.m <= 6:
+            report = check_validity(oracle, sfn, exhaustive=True)
+        else:
+            report = check_validity(oracle, sfn, budget=500, seed=29)
+        assert report.passed, (prog, report.counterexample)
+        assert (report.dropped > 0) == bool(_landmark_set(prog)), prog
+        with_landmarks += report.dropped > 0
+        assert oracle.viable(fresh_valuation(prog.m), 0, 0) is None
+    assert with_landmarks >= 8
+
+
+def test_pruned_values_keep_gradients_and_bounds():
+    """A dropped value's partial is 0, as finite differences give it, and
+    an exhaustive anytime run on a chain brackets the product of its
+    facts."""
+    for prog in (_chain([0.3, 0.6, 0.8, 0.55]), _graph_program(random.Random(0), 6, 12)):
+        inst, sfn, oracle = logic_instance(prog)
+        grad, stats = dpnl_gradient(inst, 1, oracle, order=applicable_rule_order(prog))
+        assert stats.pruned > 0
+        assert abs(grad.value - success_probability_bruteforce(prog)) <= 1e-12
+        fd = finite_difference_partials(inst, sfn, 1)
+        for k in _landmark_set(prog):
+            assert grad.partials[k][0] == 0.0 and abs(fd[k][0]) <= 1e-9
+        for row, fd_row in zip(grad.partials, fd):
+            assert max(abs(a - b) for a, b in zip(row, fd_row)) <= 1e-6
+    probs = [0.9, 0.75, 0.6, 0.95, 0.5, 0.85]
+    inst, _, oracle = logic_instance(_chain(probs))
+    for heuristic in (MaxProbability(), Fifo()):
+        bounds, stats = approx_dpnl(inst, 1, oracle, Exhaustive(), heuristic)
+        assert stats.pruned == len(probs)
+        assert bounds.low <= math.prod(probs) <= bounds.up
+        assert bounds.up - bounds.low <= 1e-12
+
+
 def test_approx_exhaustive_on_horn_programs_matches_bruteforce():
     """Best-first and breadth-first frontiers jump between distant
     valuations of the one solver state."""
@@ -526,19 +617,21 @@ def test_horn_gradient_matches_finite_differences():
 def test_deep_chain_oracle_walk():
     """The search path of a 5,000-fact chain, walked without the engine:
     propagation must not recurse, and every fact is a landmark, so each
-    ``f_k = 0`` child is answered 0 and never unknown."""
+    ``f_k = 0`` child is answered 0 and never unknown. Each step sets
+    ``f_k`` to 0 and then to 1 with ``assign``, so every call commits the
+    one cell its valuation's parent link names."""
     m = 5000
     det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
     prob = [(0.99, "f%d" % k, []) for k in range(m)]
     prog = HornProgram(det, prob, "a%d" % m)
     assert sum(prog.solver().landmark) == m
     oracle = logic_oracle(prog)
-    cells = [None] * m
+    v = fresh_valuation(m)
     for k in range(m):
-        cells[k] = 0
-        assert oracle(Valuation(cells), 1).answer == 0, k
-        cells[k] = 1
-        assert oracle(Valuation(cells), 1).answer == (1 if k == m - 1 else None), k
+        v = v.assign(k, 0)
+        assert oracle(v, 1).answer == 0, k
+        v = v.assign(k, 1)
+        assert oracle(v, 1).answer == (1 if k == m - 1 else None), k
     facts = [("f%d" % k, []) for k in range(m)]
     assert entails(det + facts, "a%d" % m)
 
@@ -622,34 +715,37 @@ def _graph_program(rng, nodes, edges):
 
 @pytest.mark.parametrize(
     "seed, counts",
-    [(0, (15, 7, 3, 5)), (1, (17, 8, 4, 5)), (2, (39, 19, 10, 10)),
-     (3, (157, 78, 48, 31)), (4, (79, 39, 19, 21))],
+    [(0, (14, 7, 3, 4, 1)), (1, (17, 8, 4, 5, 0)), (2, (38, 19, 10, 9, 1)),
+     (3, (157, 78, 48, 31, 0)), (4, (79, 39, 19, 21, 0))],
 )
 def test_graph_search_counts_are_pinned(seed, counts):
     """Exact counts on seeded 6-node, 12-edge graphs: a change to what the
-    oracle or the order costs must not move the search."""
+    oracle or the order costs must not move the search. Graphs 0 and 2 have
+    a landmark edge, whose absent child the oracle's ``viable`` hook prunes
+    where it would be a false leaf."""
     prog = _graph_program(random.Random(seed), 6, 12)
     value, stats = success_probability(prog)
     assert abs(value - success_probability_bruteforce(prog)) <= 1e-12
-    got = (stats.oracle_calls, stats.branch_nodes, stats.leaves_true, stats.leaves_false)
+    got = (stats.oracle_calls, stats.branch_nodes, stats.leaves_true, stats.leaves_false,
+           stats.pruned)
     assert got == counts
-    assert stats.cache_hits == stats.pruned == 0
+    assert stats.cache_hits == 0
 
 
 def test_chain_search_counts_are_pinned():
     """A seeded 300-fact chain: one branch node per fact, whose ``f_k = 0``
-    child is a false leaf, and one true leaf at the end."""
+    child the landmark ``viable`` hook prunes, and one true leaf at the end."""
     m = 300
     rng = random.Random(300)
     probs = [rng.uniform(0.99, 0.999) for _ in range(m)]
-    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
-    prog = HornProgram(det, [(p, "f%d" % k, []) for k, p in enumerate(probs)], "a%d" % m)
+    prog = _chain(probs)
     value, stats = success_probability(prog)
     assert math.isclose(value, math.prod(probs), rel_tol=1e-12, abs_tol=0.0)
-    assert stats.oracle_calls == 2 * m + 1
+    assert stats.oracle_calls == m + 1
     assert stats.branch_nodes == m
-    assert (stats.leaves_true, stats.leaves_false) == (1, m)
-    assert stats.cache_hits == stats.pruned == 0
+    assert (stats.leaves_true, stats.leaves_false) == (1, 0)
+    assert stats.pruned == m
+    assert stats.cache_hits == 0
 
 
 def test_deep_chain_search_needs_no_call_stack():
@@ -658,8 +754,7 @@ def test_deep_chain_search_needs_no_call_stack():
     m = 1500
     rng = random.Random(1500)
     probs = [rng.uniform(0.99, 0.999) for _ in range(m)]
-    det = [("a0", [])] + [("a%d" % (k + 1), ["a%d" % k, "f%d" % k]) for k in range(m)]
-    prog = HornProgram(det, [(p, "f%d" % k, []) for k, p in enumerate(probs)], "a%d" % m)
+    prog = _chain(probs)
     value, _ = success_probability(prog)
     assert math.isclose(value, math.prod(probs), rel_tol=1e-12, abs_tol=0.0)
     inst, _, oracle = logic_instance(prog)

@@ -168,6 +168,14 @@ def test_reference_matches_tuple_enumeration_on_unnormalised_rows():
                 assert abs(reference[o] - p) <= 1e-15, (n, o)
 
 
+def test_reference_refuses_an_overflowing_row_as_the_instance_does():
+    spec = SumInstanceSpec(1, [[1e308] * 10] * 2)
+    with pytest.raises(InvalidInstanceError, match="row 0's total mass overflows"):
+        build_sum_instance(spec)
+    with pytest.raises(InvalidInstanceError, match="row 0's total mass overflows"):
+        sum_distribution_reference(spec)
+
+
 def test_reference_n4_sums_to_one():
     rng = random.Random(25)
     reference = sum_distribution_reference(SumInstanceSpec(4, random_digit_rows(rng, 4)))
