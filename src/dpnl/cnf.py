@@ -223,16 +223,24 @@ def condition(g: CnfFormula, var: int, value: bool) -> CnfFormula:
 class _ClauseState:
     """The clauses of one ``probdpll`` call under the current assignment.
 
-    Holds, built once: the variables of each clause and, per variable, the
-    clauses that hold it positive and those that hold it negated. Kept
-    incrementally: per clause a satisfied flag and its count of unassigned
-    literals; per unassigned variable its occurrences in unsatisfied
-    clauses; the counts of unsatisfied and of empty clauses. A clause that
-    is neither satisfied nor has a live literal is empty. An assigned
-    variable's count is 0 or less, so the pick never takes it.
+    Holds, built once: the variables of each clause; per variable, the
+    clauses that hold it positive and those that hold it negated, as lists
+    and as bitmasks, ``sat_by[1][X]`` for the clauses that X=1 satisfies
+    and ``sat_by[0][X]`` for those that X=0 satisfies. Kept incrementally:
+    per clause a satisfied flag and its count of literals not falsified
+    (live); per unassigned variable its occurrences in unsatisfied clauses;
+    and two bitmasks, ``unsat``, the unsatisfied clauses, and ``unit``,
+    those of them with exactly one live literal. An assigned variable's
+    count is 0 or less, so the pick never takes it.
+
+    With these, a child X=v of a node with no empty clause is decided
+    before anything is assigned: it has no clause left iff
+    ``unsat & sat_by[v][X] == unsat``, and otherwise an empty clause iff
+    ``unit & sat_by[1 - v][X]`` is not 0. Only the other children are
+    assigned, so no assignment makes a clause empty.
     """
 
-    __slots__ = ("clause_vars", "pos", "neg", "sat", "live", "occ", "unsat", "empty")
+    __slots__ = ("clause_vars", "pos", "neg", "sat_by", "sat", "live", "occ", "unsat", "unit")
 
     def __init__(self, g: CnfFormula):
         n = g.num_vars
@@ -245,49 +253,63 @@ class _ClauseState:
                 var = abs(lit) - 1
                 (self.pos if lit > 0 else self.neg)[var].append(c)
                 self.occ[var] += 1
+        self.sat_by = tuple(
+            [sum(1 << c for c in cs) for cs in lists] for lists in (self.neg, self.pos)
+        )
         self.sat = [False] * len(g.clauses)
         self.live = [len(clause) for clause in g.clauses]
-        self.unsat = len(g.clauses)
-        self.empty = self.live.count(0)
+        self.unsat = (1 << len(g.clauses)) - 1
+        self.unit = sum(1 << c for c, k in enumerate(self.live) if k == 1)
 
     def pick(self) -> int:
         """The variable with the most occurrences in unsatisfied clauses,
         lowest index on ties."""
         return self.occ.index(max(self.occ))
 
-    def assign(self, var: int, value: bool) -> list[int]:
-        """Fix ``var`` to ``value``; returns the clauses it newly satisfied."""
-        sat, occ, live = self.sat, self.occ, self.live
+    def assign(self, var: int, value: bool) -> tuple[list[int], int]:
+        """Fix ``var`` to ``value``, which must leave no clause empty;
+        returns what ``undo`` needs: the clauses it newly satisfied, as a
+        list and as a mask."""
+        sat, occ, live, clause_vars = self.sat, self.occ, self.live, self.clause_vars
         newly = []
         for c in (self.pos if value else self.neg)[var]:
             if not sat[c]:
                 sat[c] = True
                 newly.append(c)
-                for u in self.clause_vars[c]:
+                for u in clause_vars[c]:
                     occ[u] -= 1
-        self.unsat -= len(newly)
+        hit = self.unsat & self.sat_by[value][var]
+        self.unsat ^= hit
+        unit = self.unit & self.unsat
         for c in (self.neg if value else self.pos)[var]:
             live[c] -= 1
             if not sat[c]:
                 occ[var] -= 1
-                if not live[c]:
-                    self.empty += 1
-        return newly
+                if live[c] == 1:
+                    unit |= 1 << c
+        self.unit = unit
+        return newly, hit
 
-    def undo(self, var: int, value: bool, newly: list[int]) -> None:
-        """Take back ``assign(var, value)``, which returned ``newly``."""
-        sat, occ, live = self.sat, self.occ, self.live
+    def undo(self, var: int, value: bool, record: tuple[list[int], int]) -> None:
+        """Take back ``assign(var, value)``, which returned ``record``."""
+        newly, hit = record
+        sat, occ, live, clause_vars = self.sat, self.occ, self.live, self.clause_vars
         for c in (self.neg if value else self.pos)[var]:
             if not sat[c]:
                 occ[var] += 1
-                if not live[c]:
-                    self.empty -= 1
             live[c] += 1
-        for c in reversed(newly):
+        # the unit clauses holding var's falsified literal are those the
+        # assignment made unit: none was unit before, or it would be empty
+        unit = self.unit
+        unit ^= unit & self.sat_by[not value][var]
+        for c in newly:
             sat[c] = False
-            for u in self.clause_vars[c]:
+            if live[c] == 1:
+                unit |= 1 << c
+            for u in clause_vars[c]:
                 occ[u] += 1
-        self.unsat += len(newly)
+        self.unsat |= hit
+        self.unit = unit
 
 
 def probdpll(
@@ -304,14 +326,17 @@ def probdpll(
         sigma(X) * count(g | X=1)  +  (1 - sigma(X)) * count(g | X=0)
 
     No unit propagation or pure-literal elimination: plain splitting is the
-    reference behaviour that the tests pin down. The splits are walked on
-    an explicit path of frames (variable, value of the X=1 branch once
-    known, clauses the current branch satisfied), so a deep but easy formula needs no call stack. One clause
-    state serves the whole walk: a split assigns X in it and the frame's
-    clause list undoes that, so no formula is copied or rescanned. The
-    splits, their order and the arithmetic are those of a recursion on
-    ``condition``-ed copies of ``g``.
-    The counts and the elapsed time are added to ``stats``.
+    reference behaviour that the tests pin down. One clause state serves
+    the whole walk. A split decides each child, X=1 first, from the state's
+    bitmasks before assigning anything, with the same two checks in the
+    same order; only a child that splits again is assigned, and undone once
+    its value is known, so no formula is copied or rescanned and a leaf
+    costs two mask operations. The splits are walked on an explicit path of
+    frames (variable, value of the X=1 child once known, clauses the
+    assigned child satisfied), so a deep but easy formula needs no call
+    stack. The splits, their order and the arithmetic are those of a
+    recursion on ``condition``-ed copies of ``g``, and so are the counts
+    added to ``stats``, with the elapsed time.
     """
     if len(sigma) < g.num_vars:
         raise ValueError("weight map covers %d of %d variables" % (len(sigma), g.num_vars))
@@ -319,36 +344,69 @@ def probdpll(
         stats = QueryStats()
     start = time.perf_counter()
     state = _ClauseState(g)
-    path: list[list] = []
+    if not state.unsat:
+        value, counts = 1.0, (1, 0, 1, 0)
+    elif 0 in state.live:
+        value, counts = 0.0, (1, 0, 0, 1)
+    else:
+        value, counts = _split(state, sigma.probs)
+    stats.oracle_calls += counts[0]
+    stats.branch_nodes += counts[1]
+    stats.leaves_true += counts[2]
+    stats.leaves_false += counts[3]
+    stats.wall_time += time.perf_counter() - start
+    return value
+
+
+def _split(state: _ClauseState, probs: Sequence[float]) -> tuple[float, tuple[int, ...]]:
+    # the value of a branch node at state's assignment, and the oracle
+    # calls, branch nodes, true and false leaves of its subtree (itself
+    # counted as one call)
+    sat0, sat1 = state.sat_by
+    pick, assign, undo = state.pick, state.assign, state.undo
+    calls, branches, true_leaves, false_leaves = 1, 0, 0, 0
+    path: list[tuple] = []
     while True:
-        stats.oracle_calls += 1
-        if not state.unsat:
-            stats.leaves_true += 1
-            value = 1.0
-        elif state.empty:
-            stats.leaves_false += 1
-            value = 0.0
+        branches += 1
+        var = pick()
+        calls += 1
+        unsat = state.unsat
+        if unsat & sat1[var] == unsat:
+            true_leaves += 1
+            high = 1.0
+        elif state.unit & sat0[var]:
+            false_leaves += 1
+            high = 0.0
         else:
-            stats.branch_nodes += 1
-            var = state.pick()
-            path.append([var, None, state.assign(var, True)])
+            path.append((var, None, assign(var, True)))
             continue
-        # hand the value up until some frame still has its X=0 branch to run
-        while path:
-            frame = path[-1]
-            var = frame[0]
-            if frame[1] is None:
-                frame[1] = value
-                state.undo(var, True, frame[2])
-                frame[2] = state.assign(var, False)
+        while True:
+            # the X=1 child of var gave high; decide its X=0 child
+            calls += 1
+            unsat = state.unsat
+            if unsat & sat0[var] == unsat:
+                true_leaves += 1
+                low = 1.0
+            elif state.unit & sat1[var]:
+                false_leaves += 1
+                low = 0.0
+            else:
+                path.append((var, high, assign(var, False)))
                 break
-            path.pop()
-            state.undo(var, False, frame[2])
-            p = sigma[var]
-            value = p * frame[1] + (1.0 - p) * value
-        else:
-            stats.wall_time += time.perf_counter() - start
-            return value
+            p = probs[var]
+            value = p * high + (1.0 - p) * low
+            # hand the value up until some split still has its X=0 child
+            while path:
+                var, high, record = path.pop()
+                if high is None:
+                    undo(var, True, record)
+                    high = value
+                    break
+                undo(var, False, record)
+                p = probs[var]
+                value = p * high + (1.0 - p) * value
+            else:
+                return value, (calls, branches, true_leaves, false_leaves)
 
 
 def pwmc_bruteforce(g: CnfFormula, sigma: WeightMap) -> float:

@@ -476,10 +476,11 @@ def entails(rules: Iterable[tuple[object, Sequence[object]]], query: object) -> 
 def logic_oracle(prog: HornProgram) -> Oracle:
     """Valid and complete oracle for the program's query function: the
     solver's ``verdict`` for an output of 1, inverted for an output of 0,
-    given the valuation's parent link. Its ``viable`` hook keeps only value
-    1 of a landmark rule under output 1, in O(1): with a landmark absent,
-    no rule set derives the query (forward checking, Haralick and Elliott,
-    AI 1980)."""
+    given the valuation's parent link. On a program with landmarks, its
+    ``viable`` hook keeps only value 1 of a landmark rule under output 1,
+    in O(1): with a landmark absent, no rule set derives the query
+    (forward checking, Haralick and Elliott, AI 1980). A program without
+    landmarks gets no hook, which could only answer None."""
     solver = prog.solver()
 
     def query(v: Valuation, o: int) -> OracleVerdict:
@@ -496,7 +497,7 @@ def logic_oracle(prog: HornProgram) -> Oracle:
     def viable(v: Valuation, k: int, o: int) -> Optional[tuple[int]]:
         return present if o == 1 and landmark[k] else None
 
-    return Oracle(query, name="horn", viable=viable)
+    return Oracle(query, name="horn", viable=viable if any(landmark) else None)
 
 
 def applicable_rule_order(prog: HornProgram) -> VariableOrder:
@@ -602,17 +603,25 @@ def success_probability_bruteforce(prog: HornProgram) -> float:
 _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?")
 _CONST_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*")
 _QUERY_RE = re.compile(r"query\s*\((.*)\)")
-# a comma with no ")" before the next "(": in a list of valid atoms, or of
-# constant arguments, which nest no parentheses, exactly the depth-0 commas
-_SEP = re.compile(r",(?![^(]*\))")
+# A comma separates unless the first parenthesis after it is a ")": in a
+# list of valid atoms, or of constant arguments, which nest no parentheses,
+# exactly the depth-0 commas. A piece starts at the text's start or after a
+# comma. At the start of a run between parentheses it takes the whole run
+# if a ")" ends it, commas included; otherwise it takes text that is
+# neither a comma nor a parenthesis, or a "(". Nothing follows the outer
+# repetition, so a match never backtracks into it; the run-start branch
+# fails at most once per run, after scanning it. Each run is thus scanned
+# at most twice, and plain greedy quantifiers keep the split linear.
+_PIECE = re.compile(r"(?<![^,])(?:(?<![^()])[^()]*\)|[^,()]+|\()*")
 
 
 def _split_list(text: str) -> list[str]:
-    """``_SEP.split(text)``. Text without parentheses is split at every
-    comma by ``str.split``, in linear time: ``_SEP``'s lookahead scans to
-    the next ``(`` or the end, quadratic on a long list."""
+    """The pieces of ``text`` between separating commas (see ``_PIECE``),
+    in linear time. Text without parentheses, such as an argument list, is
+    split at every comma by ``str.split``: through ``_PIECE`` alone, a
+    horn-reach graph program parses in about 20 us more (of some 150 us)."""
     if "(" in text or ")" in text:
-        return _SEP.split(text)
+        return _PIECE.findall(text)
     return text.split(",")
 
 

@@ -226,6 +226,47 @@ def test_probdpll_splits_as_the_reference():
         assert _split_counts(got) == _split_counts(want)
 
 
+def test_probdpll_splits_as_the_reference_on_wider_masks():
+    """The same on 40-300 clauses over 8-14 variables, so the clause masks
+    span several int digits, with duplicate and empty clauses."""
+    rng = random.Random(2002)
+    for trial in range(24):
+        num_vars = rng.randint(8, 14)
+        clauses = []
+        for _ in range(rng.randint(40, 300)):
+            variables = rng.sample(range(1, num_vars + 1), rng.randint(3, 8))
+            clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+        for _ in range(rng.randint(1, 20)):
+            clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
+        if trial % 6 == 0:
+            clauses.insert(rng.randrange(len(clauses) + 1), [])
+        g = CnfFormula(num_vars, clauses)
+        sigma = WeightMap([rng.random() for _ in range(num_vars)])
+        got, want = QueryStats(), QueryStats()
+        assert probdpll(g, sigma, stats=got) == _reference_probdpll(g, sigma, want)
+        assert _split_counts(got) == _split_counts(want)
+
+
+def test_probdpll_decides_leaves_before_assigning():
+    """Children decided from the clause masks: X=1 a false leaf through a
+    unit clause on -X, X=0 a true leaf, and a unit clause on X."""
+    cases = [
+        # X1=1 empties [-1]; X1=0 leaves [2] and [-2], whose split gives two false leaves
+        (CnfFormula(2, [[-1], [1, 2], [1, -2]]), (5, 2, 0, 3)),
+        # X1=1 leaves [2] and [-2]; X1=0 satisfies both clauses
+        (CnfFormula(2, [[-1, 2], [-1, -2]]), (5, 2, 1, 2)),
+        # X1=1 satisfies the clause, X1=0 empties it
+        (CnfFormula(1, [[1]]), (3, 1, 1, 1)),
+    ]
+    sigma = WeightMap([0.3, 0.8])
+    for g, counts in cases:
+        got, want = QueryStats(), QueryStats()
+        value = probdpll(g, sigma, stats=got)
+        assert value == _reference_probdpll(g, sigma, want)
+        assert abs(value - pwmc_bruteforce(g, sigma)) <= 1e-15
+        assert _split_counts(got) == _split_counts(want) == counts
+
+
 def test_bruteforce_guard():
     with pytest.raises(SizeLimitError):
         pwmc_bruteforce(CnfFormula(25, []), WeightMap([0.5] * 25))
@@ -290,5 +331,10 @@ def test_deep_formulas_need_no_call_stack():
     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
     assert (stats.branch_nodes, stats.leaves_true, stats.leaves_false) == (m, 1, m)
     assert stats.oracle_calls == 2 * m + 1
+    # the term's negation is one m-literal clause: each X=0 child is a true leaf
+    stats = QueryStats()
+    negated = probdpll(CnfFormula(m, [[-(k + 1) for k in range(m)]]), sigma, stats=stats)
+    assert _split_counts(stats) == (2 * m + 1, m, m, 1)
     term = prob_of_dnf([list(range(1, m + 1))], sigma)
+    assert term == 1.0 - negated
     assert math.isclose(term, expected, rel_tol=0.0, abs_tol=1e-12)
